@@ -1,13 +1,9 @@
 #include "analysis/sweep.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <exception>
 #include <limits>
-#include <mutex>
-#include <thread>
 
+#include "common/parallel.hh"
 #include "obs/obs.hh"
 #include "obs/trace.hh"
 
@@ -17,30 +13,11 @@ namespace sdnav::analysis
 std::size_t
 SweepOptions::resolvedThreads() const
 {
-    std::size_t t = threads;
-    if (t == 0) {
-        t = std::thread::hardware_concurrency();
-        if (t == 0)
-            t = 1;
-    }
-    return t;
+    return resolveThreads(threads);
 }
 
 namespace
 {
-
-/**
- * Chunk size giving each worker ~4 chunks to claim: large enough that
- * the atomic claim is off the per-point path, small enough that an
- * uneven grid (expensive points clustered at one end) still balances.
- */
-std::size_t
-autoChunk(std::size_t points, std::size_t threads)
-{
-    std::size_t chunks_wanted = threads * 4;
-    std::size_t chunk = (points + chunks_wanted - 1) / chunks_wanted;
-    return std::max<std::size_t>(1, chunk);
-}
 
 /**
  * Publish one executed sweep: how it was chunked, each worker's busy
@@ -59,9 +36,7 @@ recordSweepMetrics(std::size_t points, std::size_t chunks,
     registry.counter("sweep.runs").add();
     obs::Timer &busy = registry.timer("sweep.worker_busy");
     double max_busy = 0.0;
-    double min_busy = worker_busy_ms.empty()
-        ? 0.0
-        : std::numeric_limits<double>::infinity();
+    double min_busy = std::numeric_limits<double>::infinity();
     for (double ms : worker_busy_ms) {
         busy.record(ms);
         max_busy = std::max(max_busy, ms);
@@ -82,74 +57,17 @@ forEachGridPoint(std::size_t points,
 {
     if (points == 0)
         return;
-
-    std::size_t threads = std::min(options.resolvedThreads(), points);
-    std::size_t chunk = options.chunk != 0
-        ? options.chunk
-        : autoChunk(points, threads);
-    std::size_t chunk_count = (points + chunk - 1) / chunk;
-    threads = std::min(threads, chunk_count);
-
-    using clock = std::chrono::steady_clock;
-
-    if (threads <= 1) {
-        obs::TraceSpan trace_span("sweep.serial", points);
-        auto t0 = clock::now();
-        for (std::size_t i = 0; i < points; ++i)
-            body(i);
-        double busy =
-            std::chrono::duration<double, std::milli>(clock::now() - t0)
-                .count();
-        recordSweepMetrics(points, chunk_count, {busy});
-        return;
-    }
-
-    // Workers claim whole chunks from a shared counter. Any chunk may
-    // run on any thread; determinism comes from results being keyed
-    // by grid index, not by completion order. A failure in any worker
-    // raises the abort flag so the rest stop claiming instead of
-    // draining the remaining grid for a result that will be thrown
-    // away.
-    std::atomic<std::size_t> next{0};
-    std::atomic<bool> abort{false};
-    std::mutex error_mutex;
-    std::exception_ptr error;
-    std::vector<double> worker_busy_ms(threads, 0.0);
-    auto worker = [&](std::size_t slot) {
-        auto t0 = clock::now();
-        while (!abort.load(std::memory_order_relaxed)) {
-            std::size_t c = next.fetch_add(1);
-            if (c >= chunk_count)
-                break;
-            std::size_t begin = c * chunk;
-            std::size_t end = std::min(points, begin + chunk);
-            obs::TraceSpan trace_span("sweep.chunk", c);
-            try {
-                for (std::size_t i = begin; i < end; ++i)
-                    body(i);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(error_mutex);
-                if (!error)
-                    error = std::current_exception();
-                abort.store(true, std::memory_order_relaxed);
-                break;
-            }
-        }
-        // Each slot is written by exactly one worker and read only
-        // after join().
-        worker_busy_ms[slot] =
-            std::chrono::duration<double, std::milli>(clock::now() - t0)
-                .count();
-    };
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t)
-        workers.emplace_back(worker, t);
-    for (std::thread &w : workers)
-        w.join();
-    recordSweepMetrics(points, chunk_count, worker_busy_ms);
-    if (error)
-        std::rethrow_exception(error);
+    // Any chunk may run on any thread; determinism comes from results
+    // being keyed by grid index, not by completion order. A span's
+    // argument is its chunk's first grid index.
+    ParallelRun run = parallelFor(
+        points, options.threads, options.chunk,
+        [&](std::size_t begin, std::size_t end) {
+            obs::TraceSpan trace_span("sweep.chunk", begin);
+            for (std::size_t i = begin; i < end; ++i)
+                body(i);
+        });
+    recordSweepMetrics(points, run.chunks, run.workerBusyMs);
 }
 
 } // namespace sdnav::analysis

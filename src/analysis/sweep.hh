@@ -4,11 +4,11 @@
  *
  * Every figure, table, and sensitivity study in this library is a
  * parameter sweep: evaluate a pure function at each point of a fixed
- * grid. This executor chunks the grid across a std::thread pool
- * (same claim-from-an-atomic-counter plumbing as the simulation
- * replication layer) and writes each result into its grid slot, so
- * the output is in grid order and bit-identical for any thread count:
- * result i depends only on eval(i), never on scheduling.
+ * grid. This executor chunks the grid across common/parallel.hh's
+ * parallelFor (the executor the simulation replications run on too)
+ * and writes each result into its grid slot, so the output is in
+ * grid order and bit-identical for any thread count: result i
+ * depends only on eval(i), never on scheduling.
  *
  * Callers must make eval(i) depend only on i and on state that is
  * safe to read concurrently (the analytic models are const-evaluable
@@ -44,8 +44,8 @@ struct SweepOptions
 
 /**
  * Run body(i) for every i in [0, points) across the pool described by
- * `options`. Exceptions from body are rethrown (first one wins) after
- * all workers have stopped.
+ * `options`. The first exception from body stops the other workers
+ * from claiming more chunks and is rethrown after they have stopped.
  */
 void forEachGridPoint(std::size_t points,
                       const std::function<void(std::size_t)> &body,

@@ -8,8 +8,6 @@
 namespace sdnav::obs
 {
 
-#if SDNAV_METRICS_ENABLED
-
 namespace
 {
 
@@ -453,6 +451,8 @@ Registry::snapshot() const
     }
 
     json::Value root = json::Value::makeObject();
+    // Always true; kept so snapshot consumers and the committed
+    // bench baselines see an unchanged document shape.
     root.set("enabled", true);
     json::Value counter_obj = json::Value::makeObject();
     for (const auto &[name, c] : counters)
@@ -503,24 +503,5 @@ Registry::reset()
     for (auto &entry : histograms_)
         entry.second->reset();
 }
-
-#else // !SDNAV_METRICS_ENABLED
-
-Registry &
-Registry::global()
-{
-    static Registry registry;
-    return registry;
-}
-
-json::Value
-Registry::snapshot() const
-{
-    json::Value root = json::Value::makeObject();
-    root.set("enabled", false);
-    return root;
-}
-
-#endif // SDNAV_METRICS_ENABLED
 
 } // namespace sdnav::obs

@@ -20,10 +20,6 @@
  * exact. Counter folds are integer sums, so any counter whose
  * per-thread increments are deterministic folds to a bit-identical
  * value for every thread count.
- *
- * Building with -DSDNAV_METRICS=OFF defines SDNAV_METRICS_ENABLED=0
- * and swaps every class for an empty-bodied no-op with the same API,
- * so instrumented code compiles away without #ifdefs at call sites.
  */
 
 #ifndef SDNAV_OBS_OBS_HH
@@ -39,10 +35,6 @@
 #include <vector>
 
 #include "common/json.hh"
-
-#ifndef SDNAV_METRICS_ENABLED
-#define SDNAV_METRICS_ENABLED 1
-#endif
 
 namespace sdnav::obs
 {
@@ -103,8 +95,6 @@ struct HistogramBucket
     double upperBound = 0.0;
     std::uint64_t cumulativeCount = 0;
 };
-
-#if SDNAV_METRICS_ENABLED
 
 /**
  * A monotonic counter. add() touches only the calling thread's cell;
@@ -334,101 +324,6 @@ class Registry
     std::map<std::string, std::unique_ptr<Timer>> timers_;
     std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
-
-#else // !SDNAV_METRICS_ENABLED — same API, empty bodies.
-
-class Counter
-{
-  public:
-    Counter() = default;
-    Counter(const Counter &) = delete;
-    Counter &operator=(const Counter &) = delete;
-
-    void add(std::uint64_t = 1) {}
-    std::uint64_t value() const { return 0; }
-    void reset() {}
-};
-
-class Gauge
-{
-  public:
-    Gauge() = default;
-    Gauge(const Gauge &) = delete;
-    Gauge &operator=(const Gauge &) = delete;
-
-    void set(double) {}
-    void setMax(double) {}
-    double value() const { return 0.0; }
-    void reset() {}
-};
-
-class Timer
-{
-  public:
-    Timer() = default;
-    Timer(const Timer &) = delete;
-    Timer &operator=(const Timer &) = delete;
-
-    void record(double) {}
-    TimerStats stats() const { return {}; }
-    void reset() {}
-};
-
-class Histogram
-{
-  public:
-    Histogram() = default;
-    Histogram(const Histogram &) = delete;
-    Histogram &operator=(const Histogram &) = delete;
-
-    void record(double) {}
-    HistogramStats stats() const { return {}; }
-    double quantile(double) const { return 0.0; }
-    std::vector<HistogramBucket> cumulativeBuckets() const
-    {
-        return {};
-    }
-    void reset() {}
-};
-
-class ScopedTimer
-{
-  public:
-    explicit ScopedTimer(Timer &) {}
-    ScopedTimer(const ScopedTimer &) = delete;
-    ScopedTimer &operator=(const ScopedTimer &) = delete;
-};
-
-class Registry
-{
-  public:
-    static Registry &global();
-
-    Registry() = default;
-    Registry(const Registry &) = delete;
-    Registry &operator=(const Registry &) = delete;
-
-    Counter &counter(const std::string &) { return counter_; }
-    Gauge &gauge(const std::string &) { return gauge_; }
-    Timer &timer(const std::string &) { return timer_; }
-    Histogram &histogram(const std::string &) { return histogram_; }
-
-    /** {"enabled": false} — consumers can tell a no-op build apart. */
-    json::Value snapshot() const;
-
-    /** A comment-only document — scrapers see a valid, empty page. */
-    std::string prometheusText() const;
-
-    void reset() {}
-
-  private:
-    Counter counter_;
-    Gauge gauge_;
-    Timer timer_;
-    Histogram histogram_;
-};
-
-#endif // SDNAV_METRICS_ENABLED
 
 } // namespace sdnav::obs
 

@@ -13,10 +13,6 @@
  *   histogram server.request_latency_ms
  *        -> server_request_latency_ms_bucket{le="..."} (cumulative)
  *           + server_request_latency_ms_sum / _count
- *
- * A -DSDNAV_METRICS=OFF build serves a comment-only page, so scrapers
- * pointed at a no-op binary see valid (empty) exposition rather than
- * an error.
  */
 
 #include "obs/obs.hh"
@@ -30,8 +26,6 @@
 
 namespace sdnav::obs
 {
-
-#if SDNAV_METRICS_ENABLED
 
 namespace
 {
@@ -125,15 +119,5 @@ Registry::prometheusText() const
     }
     return out.str();
 }
-
-#else // !SDNAV_METRICS_ENABLED
-
-std::string
-Registry::prometheusText() const
-{
-    return "# sdnav metrics disabled (built with -DSDNAV_METRICS=OFF)\n";
-}
-
-#endif // SDNAV_METRICS_ENABLED
 
 } // namespace sdnav::obs

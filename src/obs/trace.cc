@@ -12,33 +12,6 @@ namespace sdnav::obs
 namespace
 {
 
-/** Writes chromeTrace() with a trailing newline; shared with the
- *  no-op build so --trace behaves identically there. */
-void
-dumpTraceFile(const json::Value &trace, const std::string &path)
-{
-    std::ofstream out(path);
-    out << trace.dump(2) << "\n";
-    if (!out.good())
-        throw std::runtime_error("cannot write trace file: " + path);
-}
-
-json::Value
-emptyTraceRoot()
-{
-    json::Value root = json::Value::makeObject();
-    root.set("displayTimeUnit", "ms");
-    root.set("traceEvents", json::Value::makeArray());
-    return root;
-}
-
-} // anonymous namespace
-
-#if SDNAV_METRICS_ENABLED
-
-namespace
-{
-
 /** Tracer ids are never reused; see the metric-id comment in obs.cc. */
 std::atomic<std::uint64_t> next_tracer_id{1};
 
@@ -299,7 +272,8 @@ Tracer::chromeTrace() const
         events.push(std::move(entry));
     }
 
-    json::Value root = emptyTraceRoot();
+    json::Value root = json::Value::makeObject();
+    root.set("displayTimeUnit", "ms");
     root.set("traceEvents", std::move(events));
     return root;
 }
@@ -307,7 +281,10 @@ Tracer::chromeTrace() const
 void
 Tracer::writeFile(const std::string &path) const
 {
-    dumpTraceFile(chromeTrace(), path);
+    std::ofstream out(path);
+    out << chromeTrace().dump(2) << "\n";
+    if (!out.good())
+        throw std::runtime_error("cannot write trace file: " + path);
 }
 
 TraceStats
@@ -341,28 +318,5 @@ Tracer::reset()
         b->dropDepth = 0;
     }
 }
-
-#else // !SDNAV_METRICS_ENABLED
-
-Tracer &
-Tracer::global()
-{
-    static Tracer tracer;
-    return tracer;
-}
-
-json::Value
-Tracer::chromeTrace() const
-{
-    return emptyTraceRoot();
-}
-
-void
-Tracer::writeFile(const std::string &path) const
-{
-    dumpTraceFile(chromeTrace(), path);
-}
-
-#endif // SDNAV_METRICS_ENABLED
 
 } // namespace sdnav::obs

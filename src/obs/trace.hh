@@ -22,9 +22,7 @@
  * counted and reported in stats().
  *
  * The tracer starts disabled; a disabled begin/end is one relaxed
- * atomic load and a branch. Building with -DSDNAV_METRICS=OFF swaps
- * in the same-API no-op (writeFile still emits a valid empty trace,
- * so `sdnav_cli --trace` keeps its contract in no-op builds).
+ * atomic load and a branch.
  */
 
 #ifndef SDNAV_OBS_TRACE_HH
@@ -39,10 +37,6 @@
 #include <vector>
 
 #include "common/json.hh"
-
-#ifndef SDNAV_METRICS_ENABLED
-#define SDNAV_METRICS_ENABLED 1
-#endif
 
 namespace sdnav::obs
 {
@@ -60,12 +54,10 @@ struct TraceStats
     std::size_t threads = 0;
 };
 
-#if SDNAV_METRICS_ENABLED
-
 /**
  * Process-wide event collector. Typical use is the RAII guard:
  *
- *     obs::TraceSpan span("sweep.chunk", chunkIndex);
+ *     obs::TraceSpan span("sweep.chunk", firstIndex);
  *
  * which records nothing until Tracer::global().enable() has run
  * (the CLI enables it when --trace FILE is passed).
@@ -187,55 +179,6 @@ class TraceSpan
     const char *name_;
     bool active_;
 };
-
-#else // !SDNAV_METRICS_ENABLED — same API, empty bodies.
-
-class Tracer
-{
-  public:
-    static constexpr std::size_t kDefaultCapacity = 0;
-
-    static Tracer &global();
-
-    Tracer() = default;
-    Tracer(const Tracer &) = delete;
-    Tracer &operator=(const Tracer &) = delete;
-
-    void enable(std::size_t = 0) {}
-    void disable() {}
-    bool enabled() const { return false; }
-    void begin(const char *) {}
-    void begin(const char *, std::uint64_t) {}
-    void end(const char *) {}
-    void instant(const char *) {}
-    void instant(const char *, std::uint64_t) {}
-
-    /** {"displayTimeUnit": "ms", "traceEvents": []} — still valid. */
-    json::Value chromeTrace() const;
-
-    /** Writes the empty-but-valid trace so --trace keeps working. */
-    void writeFile(const std::string &path) const;
-
-    TraceStats stats() const { return {}; }
-    void reset() {}
-};
-
-class TraceSpan
-{
-  public:
-    explicit TraceSpan(const char *, Tracer & = Tracer::global()) {}
-    TraceSpan(const char *, std::uint64_t,
-              Tracer & = Tracer::global())
-    {
-    }
-    TraceSpan(const TraceSpan &) = delete;
-    TraceSpan &operator=(const TraceSpan &) = delete;
-    ~TraceSpan() {} // user-provided: keeps guards warning-free
-
-  private:
-};
-
-#endif // SDNAV_METRICS_ENABLED
 
 } // namespace sdnav::obs
 

@@ -9,10 +9,6 @@
  * close. Scrapes arrive every few seconds at most, so there is
  * nothing to pool; the cost is one registry fold per scrape, off the
  * query path entirely.
- *
- * The endpoint stays functional in -DSDNAV_METRICS=OFF builds — it
- * serves the registry's comment-only page, so a scraper pointed at a
- * no-op binary sees valid, empty exposition instead of a dead port.
  */
 
 #ifndef SDNAV_SERVER_PROM_HTTP_HH

@@ -1,7 +1,5 @@
 #include "server/requestLog.hh"
 
-#if SDNAV_METRICS_ENABLED
-
 #include "common/error.hh"
 #include "common/json.hh"
 
@@ -47,5 +45,3 @@ RequestLog::append(const RequestRecord &record)
 }
 
 } // namespace sdnav::server
-
-#endif // SDNAV_METRICS_ENABLED

@@ -16,8 +16,7 @@
  *    "outcome": "ok" | "error" | "budget_exceeded"}
  *
  * Writes take one mutex and flush per record (a crashed server keeps
- * its log). Building with -DSDNAV_METRICS=OFF swaps in the same-API
- * no-op, so `--request-log` costs nothing in no-op builds.
+ * its log).
  */
 
 #ifndef SDNAV_SERVER_REQUEST_LOG_HH
@@ -27,10 +26,6 @@
 #include <fstream>
 #include <mutex>
 #include <string>
-
-#ifndef SDNAV_METRICS_ENABLED
-#define SDNAV_METRICS_ENABLED 1
-#endif
 
 namespace sdnav::server
 {
@@ -68,8 +63,6 @@ struct RequestRecord
     std::string outcome;
 };
 
-#if SDNAV_METRICS_ENABLED
-
 class RequestLog
 {
   public:
@@ -94,22 +87,6 @@ class RequestLog
     std::ofstream out_;
     bool enabled_ = false;
 };
-
-#else // !SDNAV_METRICS_ENABLED — same API, empty bodies.
-
-class RequestLog
-{
-  public:
-    RequestLog() = default;
-    RequestLog(const RequestLog &) = delete;
-    RequestLog &operator=(const RequestLog &) = delete;
-
-    void open(const std::string &) {}
-    bool enabled() const { return false; }
-    void append(const RequestRecord &) {}
-};
-
-#endif // SDNAV_METRICS_ENABLED
 
 } // namespace sdnav::server
 

@@ -685,9 +685,6 @@ Server::statsJson() const
         requests_.load(std::memory_order_relaxed);
 
     json::Value stats = json::Value::makeObject();
-    stats.set("uptime_s", uptimeS);
-    // uptime_seconds is the self-describing alias scrapers key on;
-    // uptime_s stays for existing clients.
     stats.set("uptime_seconds", uptimeS);
     stats.set("git_sha", common::gitSha());
     stats.set("qps", uptimeS > 0.0

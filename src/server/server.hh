@@ -101,7 +101,7 @@ struct ServerOptions
      * live-BDD-node cap (0 = unlimited). A compile that exceeds
      * either returns a budget_exceeded error reply for that request;
      * the worker and the cache stay healthy. Enforcement is plain
-     * control flow — it works in -DSDNAV_METRICS=OFF builds too.
+     * control flow, independent of the obs metrics.
      */
     double compileBudgetMs = 0.0;
     std::size_t compileNodeCap = 0;

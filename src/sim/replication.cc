@@ -1,14 +1,11 @@
 #include "sim/replication.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cmath>
-#include <exception>
-#include <mutex>
-#include <thread>
+#include <numeric>
 
 #include "common/error.hh"
+#include "common/parallel.hh"
 #include "obs/obs.hh"
 #include "obs/trace.hh"
 #include "prob/rng.hh"
@@ -20,75 +17,29 @@ namespace
 {
 
 /**
- * Run `jobs` indexed tasks over a worker pool. Work is claimed from a
- * shared atomic counter, so any replication can run on any thread;
- * callers must make task results depend only on the index.
+ * Run replica(i) for every replication on the shared executor, one
+ * replication per claimed chunk, each under its own trace span and
+ * wall timer. Returns the workers' summed busy milliseconds, the
+ * denominator of the events/sec gauge.
  */
-template <typename Body>
-void
-runPool(std::size_t jobs, std::size_t threads, const Body &body)
+template <typename Replica>
+double
+runReplications(const ReplicatedSimConfig &replication,
+                const Replica &replica)
 {
-    if (threads == 0) {
-        threads = std::thread::hardware_concurrency();
-        if (threads == 0)
-            threads = 1;
-    }
-    threads = std::min(threads, jobs);
-    if (threads <= 1) {
-        for (std::size_t i = 0; i < jobs; ++i)
-            body(i);
-        return;
-    }
-
-    std::atomic<std::size_t> next{0};
-    std::mutex error_mutex;
-    std::exception_ptr error;
-    auto worker = [&] {
-        for (;;) {
-            std::size_t i = next.fetch_add(1);
-            if (i >= jobs)
-                return;
-            try {
-                body(i);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(error_mutex);
-                if (!error)
-                    error = std::current_exception();
-                return;
+    obs::Timer &wall =
+        obs::Registry::global().timer("sim.replication_wall");
+    ParallelRun run = parallelFor(
+        replication.replications, replication.threads, 1,
+        [&](std::size_t begin, std::size_t end) {
+            for (std::size_t i = begin; i < end; ++i) {
+                obs::TraceSpan trace_span("sim.replication", i);
+                obs::ScopedTimer scope(wall);
+                replica(i);
             }
-        }
-    };
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t)
-        workers.emplace_back(worker);
-    for (std::thread &w : workers)
-        w.join();
-    if (error)
-        std::rethrow_exception(error);
-}
-
-/**
- * Run one replication body under the per-replication wall timer and
- * accumulate total busy milliseconds for the events/sec gauge.
- */
-template <typename Body>
-void
-timedReplication(std::atomic<double> &busy_ms_total, const Body &body)
-{
-    auto t0 = std::chrono::steady_clock::now();
-    {
-        obs::ScopedTimer scope(
-            obs::Registry::global().timer("sim.replication_wall"));
-        body();
-    }
-    auto t1 = std::chrono::steady_clock::now();
-    double ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    double cur = busy_ms_total.load(std::memory_order_relaxed);
-    while (!busy_ms_total.compare_exchange_weak(
-        cur, cur + ms, std::memory_order_relaxed)) {
-    }
+        });
+    return std::accumulate(run.workerBusyMs.begin(),
+                           run.workerBusyMs.end(), 0.0);
 }
 
 /** Publish pooled throughput after a replicated run. */
@@ -213,18 +164,11 @@ simulateControllerReplicated(const fmea::ControllerCatalog &catalog,
     replication.validate();
 
     std::vector<ControllerSimResult> results(replication.replications);
-    std::atomic<double> busy_ms{0.0};
-    runPool(replication.replications, replication.threads,
-            [&](std::size_t replica) {
-                obs::TraceSpan trace_span("sim.replication", replica);
-                timedReplication(busy_ms, [&] {
-                    ControllerSimConfig config = perReplication;
-                    config.seed =
-                        replicationSeed(replication.baseSeed, replica);
-                    results[replica] = simulateController(
-                        catalog, topo, policy, config);
-                });
-            });
+    double busy_ms = runReplications(replication, [&](std::size_t i) {
+        ControllerSimConfig config = perReplication;
+        config.seed = replicationSeed(replication.baseSeed, i);
+        results[i] = simulateController(catalog, topo, policy, config);
+    });
 
     ReplicatedControllerResult merged;
     std::vector<BatchMeansResult> cp, dp;
@@ -253,8 +197,7 @@ simulateControllerReplicated(const fmea::ControllerCatalog &catalog,
         redisc_sum / static_cast<double>(results.size());
     merged.perReplication = std::move(results);
     recordReplicationThroughput(replication.replications,
-                                merged.events,
-                                busy_ms.load(std::memory_order_relaxed));
+                                merged.events, busy_ms);
     return merged;
 }
 
@@ -268,18 +211,11 @@ simulateRenewalSystemReplicated(
     replication.validate();
 
     std::vector<RenewalSimResult> results(replication.replications);
-    std::atomic<double> busy_ms{0.0};
-    runPool(replication.replications, replication.threads,
-            [&](std::size_t replica) {
-                obs::TraceSpan trace_span("sim.replication", replica);
-                timedReplication(busy_ms, [&] {
-                    RenewalSimConfig config = perReplication;
-                    config.seed =
-                        replicationSeed(replication.baseSeed, replica);
-                    results[replica] =
-                        simulateRenewalSystem(system, timings, config);
-                });
-            });
+    double busy_ms = runReplications(replication, [&](std::size_t i) {
+        RenewalSimConfig config = perReplication;
+        config.seed = replicationSeed(replication.baseSeed, i);
+        results[i] = simulateRenewalSystem(system, timings, config);
+    });
 
     ReplicatedRenewalResult merged;
     std::vector<BatchMeansResult> avail;
@@ -299,8 +235,7 @@ simulateRenewalSystemReplicated(
     merged.maxOutageHours = outages.max_hours;
     merged.perReplication = std::move(results);
     recordReplicationThroughput(replication.replications,
-                                merged.events,
-                                busy_ms.load(std::memory_order_relaxed));
+                                merged.events, busy_ms);
     return merged;
 }
 

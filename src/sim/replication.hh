@@ -7,8 +7,11 @@
  * means, whose batches are serially correlated; the standard remedy
  * (Sakic & Kellerer's RAFT study, Nencioni et al.'s Möbius model) is
  * many independent replications. This layer runs R replications of
- * `simulateController` / `simulateRenewalSystem` across a thread
- * pool and pools their estimates.
+ * `simulateController` / `simulateRenewalSystem` on the shared
+ * parallelFor executor (common/parallel.hh), one replication per
+ * claimed chunk, and pools their estimates. A replication that throws
+ * stops the other workers from claiming more; its exception is
+ * rethrown once they have stopped.
  *
  * Reproducibility contract: replication r is seeded with
  * `prob::Rng(baseSeed).deriveStream(r)`, which depends only on

@@ -2,14 +2,13 @@
  * @file
  * Tests for the deterministic parallel sweep executor: grid-order
  * results, bit-identity across thread counts, chunk boundary cases,
- * and exception propagation.
+ * and exception propagation. The executor underneath has its own
+ * cases in tests/common/parallelTest.cc.
  */
 
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -116,30 +115,6 @@ TEST(Sweep, ExceptionPropagatesFromWorker)
                  std::runtime_error);
     EXPECT_THROW(forEachGridPoint(100, thrower, withThreads(1)),
                  std::runtime_error);
-}
-
-TEST(Sweep, FailureAbortsRemainingChunks)
-{
-    // A failure at point 0 must stop the other workers from draining
-    // the whole grid: with chunk = 1 every point is a separate claim,
-    // so once the abort flag is up the executed count stays far below
-    // the grid size. The sleep makes surviving points slow enough
-    // that a full drain would be unmistakable.
-    const std::size_t points = 200;
-    std::atomic<std::size_t> executed{0};
-    auto body = [&](std::size_t i) {
-        if (i == 0)
-            throw std::runtime_error("grid point 0 failed");
-        ++executed;
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    };
-    EXPECT_THROW(forEachGridPoint(points, body, withThreads(4, 1)),
-                 std::runtime_error);
-    // The other three workers can finish at most the chunks claimed
-    // before the throw plus one in-flight chunk each; give a generous
-    // margin while staying far below the full grid.
-    EXPECT_LT(executed.load(), points / 2)
-        << "workers drained the grid after a failure";
 }
 
 TEST(Sweep, Figure3BitIdenticalAcrossThreadCounts)

@@ -4,10 +4,6 @@
  * correctness, snapshot shape and determinism, and the per-thread
  * cell design under real thread churn (this suite runs in the TSan
  * CI job alongside the other threaded suites).
- *
- * Every assertion branches on SDNAV_METRICS_ENABLED so the same
- * suite passes in the -DSDNAV_METRICS=OFF no-op build, proving the
- * stub API keeps compiling and linking.
  */
 
 #include <atomic>
@@ -24,19 +20,13 @@ namespace
 
 using namespace sdnav;
 
-#if SDNAV_METRICS_ENABLED
-constexpr bool kEnabled = true;
-#else
-constexpr bool kEnabled = false;
-#endif
-
 TEST(Counter, StartsAtZeroAndAccumulates)
 {
     obs::Counter counter;
     EXPECT_EQ(counter.value(), 0u);
     counter.add();
     counter.add(41);
-    EXPECT_EQ(counter.value(), kEnabled ? 42u : 0u);
+    EXPECT_EQ(counter.value(), 42u);
     counter.reset();
     EXPECT_EQ(counter.value(), 0u);
 }
@@ -56,7 +46,7 @@ TEST(Counter, SumsAcrossThreadsExactly)
     }
     for (std::thread &worker : pool)
         worker.join();
-    EXPECT_EQ(counter.value(), kEnabled ? threads * per_thread : 0u);
+    EXPECT_EQ(counter.value(), threads * per_thread);
 }
 
 TEST(Counter, CellsSurviveThreadExit)
@@ -66,7 +56,7 @@ TEST(Counter, CellsSurviveThreadExit)
     obs::Counter counter;
     std::thread([&counter] { counter.add(7); }).join();
     std::thread([&counter] { counter.add(5); }).join();
-    EXPECT_EQ(counter.value(), kEnabled ? 12u : 0u);
+    EXPECT_EQ(counter.value(), 12u);
 }
 
 TEST(Gauge, SetAndSetMax)
@@ -74,11 +64,11 @@ TEST(Gauge, SetAndSetMax)
     obs::Gauge gauge;
     EXPECT_DOUBLE_EQ(gauge.value(), 0.0);
     gauge.set(3.5);
-    EXPECT_DOUBLE_EQ(gauge.value(), kEnabled ? 3.5 : 0.0);
+    EXPECT_DOUBLE_EQ(gauge.value(), 3.5);
     gauge.setMax(2.0); // lower: no effect
-    EXPECT_DOUBLE_EQ(gauge.value(), kEnabled ? 3.5 : 0.0);
+    EXPECT_DOUBLE_EQ(gauge.value(), 3.5);
     gauge.setMax(9.0); // higher: raises
-    EXPECT_DOUBLE_EQ(gauge.value(), kEnabled ? 9.0 : 0.0);
+    EXPECT_DOUBLE_EQ(gauge.value(), 9.0);
 }
 
 TEST(Gauge, SetMaxRacesToTheMaximum)
@@ -95,7 +85,7 @@ TEST(Gauge, SetMaxRacesToTheMaximum)
     }
     for (std::thread &worker : pool)
         worker.join();
-    EXPECT_DOUBLE_EQ(gauge.value(), kEnabled ? 7999.0 : 0.0);
+    EXPECT_DOUBLE_EQ(gauge.value(), 7999.0);
 }
 
 TEST(Timer, FoldsCountTotalMinMax)
@@ -107,15 +97,11 @@ TEST(Timer, FoldsCountTotalMinMax)
     timer.record(6.0);
     timer.record(4.0);
     obs::TimerStats stats = timer.stats();
-    if (kEnabled) {
-        EXPECT_EQ(stats.count, 3u);
-        EXPECT_DOUBLE_EQ(stats.totalMs, 12.0);
-        EXPECT_DOUBLE_EQ(stats.minMs, 2.0);
-        EXPECT_DOUBLE_EQ(stats.maxMs, 6.0);
-        EXPECT_DOUBLE_EQ(stats.meanMs(), 4.0);
-    } else {
-        EXPECT_EQ(stats.count, 0u);
-    }
+    EXPECT_EQ(stats.count, 3u);
+    EXPECT_DOUBLE_EQ(stats.totalMs, 12.0);
+    EXPECT_DOUBLE_EQ(stats.minMs, 2.0);
+    EXPECT_DOUBLE_EQ(stats.maxMs, 6.0);
+    EXPECT_DOUBLE_EQ(stats.meanMs(), 4.0);
 }
 
 TEST(Timer, FoldsAcrossThreads)
@@ -124,13 +110,9 @@ TEST(Timer, FoldsAcrossThreads)
     std::thread([&timer] { timer.record(1.0); }).join();
     std::thread([&timer] { timer.record(3.0); }).join();
     obs::TimerStats stats = timer.stats();
-    if (kEnabled) {
-        EXPECT_EQ(stats.count, 2u);
-        EXPECT_DOUBLE_EQ(stats.minMs, 1.0);
-        EXPECT_DOUBLE_EQ(stats.maxMs, 3.0);
-    } else {
-        EXPECT_EQ(stats.count, 0u);
-    }
+    EXPECT_EQ(stats.count, 2u);
+    EXPECT_DOUBLE_EQ(stats.minMs, 1.0);
+    EXPECT_DOUBLE_EQ(stats.maxMs, 3.0);
 }
 
 TEST(ScopedTimer, RecordsOneIntervalOnDestruction)
@@ -139,7 +121,7 @@ TEST(ScopedTimer, RecordsOneIntervalOnDestruction)
     {
         obs::ScopedTimer scope(timer);
     }
-    EXPECT_EQ(timer.stats().count, kEnabled ? 1u : 0u);
+    EXPECT_EQ(timer.stats().count, 1u);
     EXPECT_GE(timer.stats().totalMs, 0.0);
 }
 
@@ -151,7 +133,7 @@ TEST(Registry, ReturnsStableReferences)
     EXPECT_EQ(&a, &b);
     a.add(3);
     EXPECT_EQ(registry.counter("test.counter").value(),
-              kEnabled ? 3u : 0u);
+              3u);
 }
 
 TEST(Registry, SnapshotShape)
@@ -164,10 +146,7 @@ TEST(Registry, SnapshotShape)
     json::Value snap = registry.snapshot();
     ASSERT_TRUE(snap.isObject());
     ASSERT_TRUE(snap.contains("enabled"));
-    EXPECT_EQ(snap.at("enabled").asBool(), kEnabled);
-    if (!kEnabled)
-        return; // the no-op snapshot carries only the flag
-
+    EXPECT_TRUE(snap.at("enabled").asBool());
     ASSERT_TRUE(snap.contains("counters"));
     ASSERT_TRUE(snap.contains("gauges"));
     ASSERT_TRUE(snap.contains("timers"));
@@ -212,7 +191,7 @@ TEST(Registry, ResetZeroesEverythingButKeepsReferences)
     EXPECT_DOUBLE_EQ(registry.gauge("r.gauge").value(), 0.0);
     EXPECT_EQ(registry.timer("r.timer").stats().count, 0u);
     counter.add(); // cached reference still valid after reset
-    EXPECT_EQ(counter.value(), kEnabled ? 1u : 0u);
+    EXPECT_EQ(counter.value(), 1u);
 }
 
 TEST(Registry, ConcurrentHammerWithLiveSnapshots)
@@ -252,9 +231,9 @@ TEST(Registry, ConcurrentHammerWithLiveSnapshots)
     for (std::thread &worker : pool)
         worker.join();
     EXPECT_EQ(registry.counter("hammer.count").value(),
-              kEnabled ? threads * per_thread : 0u);
+              threads * per_thread);
     EXPECT_EQ(registry.timer("hammer.time").stats().count,
-              kEnabled ? threads * (per_thread / 1000) : 0u);
+              threads * (per_thread / 1000));
 }
 
 TEST(Registry, GlobalIsASingleton)
@@ -271,20 +250,16 @@ TEST(Histogram, CountsTotalsAndTracksMax)
     histogram.record(2.0);
     histogram.record(9.0);
     obs::HistogramStats stats = histogram.stats();
-    EXPECT_EQ(stats.count, kEnabled ? 3u : 0u);
-    if (kEnabled) {
-        EXPECT_DOUBLE_EQ(stats.total, 12.0);
-        EXPECT_DOUBLE_EQ(stats.max, 9.0);
-        EXPECT_DOUBLE_EQ(stats.mean(), 4.0);
-    }
+    EXPECT_EQ(stats.count, 3u);
+    EXPECT_DOUBLE_EQ(stats.total, 12.0);
+    EXPECT_DOUBLE_EQ(stats.max, 9.0);
+    EXPECT_DOUBLE_EQ(stats.mean(), 4.0);
     histogram.reset();
     EXPECT_EQ(histogram.stats().count, 0u);
 }
 
 TEST(Histogram, QuantilesAreExactToOneBucketWidth)
 {
-    if (!kEnabled)
-        GTEST_SKIP() << "metrics disabled";
     obs::Histogram histogram;
     for (int i = 1; i <= 1000; ++i)
         histogram.record(static_cast<double>(i));
@@ -321,7 +296,7 @@ TEST(Histogram, FoldsAcrossThreads)
     for (std::thread &worker : pool)
         worker.join();
     EXPECT_EQ(histogram.stats().count,
-              kEnabled ? threads * perThread : 0u);
+              threads * perThread);
 }
 
 TEST(Registry, SnapshotIncludesHistogramFamily)
@@ -329,10 +304,6 @@ TEST(Registry, SnapshotIncludesHistogramFamily)
     obs::Registry registry;
     registry.histogram("unit.latency").record(2.5);
     json::Value snap = registry.snapshot();
-    if (!kEnabled) {
-        EXPECT_FALSE(snap.at("enabled").asBool());
-        return;
-    }
     const json::Value &family = snap.at("histograms");
     ASSERT_TRUE(family.contains("unit.latency"));
     const json::Value &entry = family.at("unit.latency");

@@ -1,8 +1,7 @@
 /**
  * @file
  * Tests for the Prometheus text exposition (obs/prom.cc): the name
- * mangling, per-kind rendering, cumulative histogram buckets, and
- * the comment-only page of a -DSDNAV_METRICS=OFF build.
+ * mangling, per-kind rendering, and cumulative histogram buckets.
  */
 
 #include <cmath>
@@ -17,8 +16,6 @@ namespace
 {
 
 using namespace sdnav;
-
-#if SDNAV_METRICS_ENABLED
 
 TEST(Prom, CountersRenderAsTotalWithTypeLine)
 {
@@ -123,17 +120,5 @@ TEST(Prom, EmptyRegistryRendersEmptyText)
     obs::Registry registry;
     EXPECT_EQ(registry.prometheusText(), "");
 }
-
-#else // !SDNAV_METRICS_ENABLED
-
-TEST(Prom, DisabledBuildServesACommentOnlyPage)
-{
-    std::string text = obs::Registry::global().prometheusText();
-    EXPECT_EQ(text[0], '#');
-    EXPECT_NE(text.find("metrics disabled"), std::string::npos);
-    EXPECT_EQ(text.back(), '\n');
-}
-
-#endif // SDNAV_METRICS_ENABLED
 
 } // anonymous namespace

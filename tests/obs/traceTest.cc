@@ -4,11 +4,6 @@
  * trace_event export shape, the drop-pairs-whole overflow contract,
  * and concurrent recording with a live export (this suite runs in the
  * TSan CI job alongside the other threaded suites).
- *
- * Every assertion branches on SDNAV_METRICS_ENABLED so the same
- * suite passes in the -DSDNAV_METRICS=OFF no-op build, proving the
- * stub tracer keeps compiling, linking, and writing valid (empty)
- * traces.
  */
 
 #include <cstdio>
@@ -26,12 +21,6 @@ namespace
 {
 
 using namespace sdnav;
-
-#if SDNAV_METRICS_ENABLED
-constexpr bool kEnabled = true;
-#else
-constexpr bool kEnabled = false;
-#endif
 
 /** Non-metadata events of an exported trace, in stream order. */
 std::vector<json::Value>
@@ -102,22 +91,20 @@ TEST(Tracer, RecordsSpansAndInstants)
     tracer.disable();
 
     obs::TraceStats stats = tracer.stats();
-    EXPECT_EQ(stats.recorded, kEnabled ? 3u : 0u);
+    EXPECT_EQ(stats.recorded, 3u);
     EXPECT_EQ(stats.dropped, 0u);
-    EXPECT_EQ(stats.threads, kEnabled ? 1u : 0u);
+    EXPECT_EQ(stats.threads, 1u);
 
     json::Value root = tracer.chromeTrace();
     EXPECT_EQ(root.at("displayTimeUnit").asString(), "ms");
     std::vector<json::Value> body = traceBody(root);
-    ASSERT_EQ(body.size(), kEnabled ? 3u : 0u);
-    if (kEnabled) {
-        EXPECT_EQ(body[0].at("ph").asString(), "B");
-        EXPECT_EQ(body[0].at("name").asString(), "work");
-        EXPECT_DOUBLE_EQ(body[0].at("args").at("arg").asNumber(), 7.0);
-        EXPECT_EQ(body[1].at("ph").asString(), "i");
-        EXPECT_EQ(body[2].at("ph").asString(), "E");
-        EXPECT_EQ(body[2].at("name").asString(), "work");
-    }
+    ASSERT_EQ(body.size(), 3u);
+    EXPECT_EQ(body[0].at("ph").asString(), "B");
+    EXPECT_EQ(body[0].at("name").asString(), "work");
+    EXPECT_DOUBLE_EQ(body[0].at("args").at("arg").asNumber(), 7.0);
+    EXPECT_EQ(body[1].at("ph").asString(), "i");
+    EXPECT_EQ(body[2].at("ph").asString(), "E");
+    EXPECT_EQ(body[2].at("name").asString(), "work");
     expectWellFormed(root);
 }
 
@@ -130,8 +117,8 @@ TEST(Tracer, SequentialOverflowDropsSpansWhole)
     tracer.disable();
 
     obs::TraceStats stats = tracer.stats();
-    EXPECT_EQ(stats.recorded, kEnabled ? 4u : 0u);
-    EXPECT_EQ(stats.dropped, kEnabled ? 16u : 0u);
+    EXPECT_EQ(stats.recorded, 4u);
+    EXPECT_EQ(stats.dropped, 16u);
     expectWellFormed(tracer.chromeTrace());
 }
 
@@ -150,8 +137,8 @@ TEST(Tracer, NestedOverflowStillClosesRecordedBegins)
     tracer.disable();
 
     obs::TraceStats stats = tracer.stats();
-    EXPECT_EQ(stats.recorded, kEnabled ? 4u : 0u);
-    EXPECT_EQ(stats.dropped, kEnabled ? 2u : 0u);
+    EXPECT_EQ(stats.recorded, 4u);
+    EXPECT_EQ(stats.dropped, 2u);
     expectWellFormed(tracer.chromeTrace());
 }
 
@@ -171,13 +158,13 @@ TEST(Tracer, ThreadsGetDistinctTidsAndMetadata)
         worker.join();
     tracer.disable();
 
-    EXPECT_EQ(tracer.stats().threads, kEnabled ? threads : 0u);
+    EXPECT_EQ(tracer.stats().threads, threads);
 
     json::Value root = tracer.chromeTrace();
     std::map<double, int> events_per_tid;
     for (const json::Value &event : traceBody(root))
         ++events_per_tid[event.at("tid").asNumber()];
-    EXPECT_EQ(events_per_tid.size(), kEnabled ? threads : 0u);
+    EXPECT_EQ(events_per_tid.size(), threads);
     for (const auto &[tid, count] : events_per_tid)
         EXPECT_EQ(count, 2);
 
@@ -188,7 +175,7 @@ TEST(Tracer, ThreadsGetDistinctTidsAndMetadata)
             event.at("name").asString() == "thread_name")
             ++thread_meta;
     }
-    EXPECT_EQ(thread_meta, kEnabled ? threads : 0u);
+    EXPECT_EQ(thread_meta, threads);
     expectWellFormed(root);
 }
 
@@ -221,7 +208,7 @@ TEST(Tracer, ConcurrentRecordingWithLiveExport)
 
     obs::TraceStats stats = tracer.stats();
     EXPECT_EQ(stats.recorded + stats.dropped,
-              kEnabled ? threads * spans_per_thread * 3u : 0u);
+              threads * spans_per_thread * 3u);
     expectWellFormed(tracer.chromeTrace());
 }
 
@@ -249,7 +236,7 @@ TEST(Tracer, WriteFileProducesParsableTrace)
     tracer.writeFile(path);
     json::Value root = json::parseFile(path);
     EXPECT_EQ(root.at("displayTimeUnit").asString(), "ms");
-    EXPECT_EQ(traceBody(root).size(), kEnabled ? 2u : 0u);
+    EXPECT_EQ(traceBody(root).size(), 2u);
     std::remove(path.c_str());
 }
 

@@ -13,15 +13,8 @@
 
 #include "common/json.hh"
 
-#ifndef SDNAV_METRICS_ENABLED
-#define SDNAV_METRICS_ENABLED 1
-#endif
-
 namespace
 {
-
-/** Whether the binary under test records metrics/trace events. */
-constexpr bool kMetricsEnabled = SDNAV_METRICS_ENABLED != 0;
 
 struct CommandResult
 {
@@ -250,17 +243,13 @@ TEST(Cli, MetricsFlagWritesParseableSnapshot)
     EXPECT_DOUBLE_EQ(doc.at("threads").asNumber(), 2.0);
     const sdnav::json::Value &metrics = doc.at("metrics");
     ASSERT_TRUE(metrics.isObject());
-    ASSERT_TRUE(metrics.contains("enabled"));
-    if (metrics.at("enabled").asBool()) {
-        // The figures sweep must have recorded grid points and BDD
-        // probability evaluations.
-        EXPECT_GT(metrics.at("counters").at("sweep.points").asNumber(),
-                  0.0);
-        EXPECT_GT(
-            metrics.at("counters").at("bdd.prob_evals").asNumber(),
-            0.0);
-        EXPECT_TRUE(metrics.contains("timers"));
-    }
+    EXPECT_TRUE(metrics.at("enabled").asBool());
+    // The figures sweep must have recorded grid points and BDD
+    // probability evaluations.
+    EXPECT_GT(metrics.at("counters").at("sweep.points").asNumber(), 0.0);
+    EXPECT_GT(metrics.at("counters").at("bdd.prob_evals").asNumber(),
+              0.0);
+    EXPECT_TRUE(metrics.contains("timers"));
     std::remove(path.c_str());
 }
 
@@ -275,13 +264,9 @@ TEST(Cli, MetricsForSimulateCountsEvents)
     sdnav::json::Value doc = sdnav::json::parseFile(path);
     EXPECT_EQ(doc.at("command").asString(), "simulate");
     const sdnav::json::Value &metrics = doc.at("metrics");
-    if (metrics.at("enabled").asBool()) {
-        EXPECT_GT(metrics.at("counters").at("sim.events").asNumber(),
-                  0.0);
-        EXPECT_GT(
-            metrics.at("gauges").at("sim.queue_high_water").asNumber(),
-            0.0);
-    }
+    EXPECT_GT(metrics.at("counters").at("sim.events").asNumber(), 0.0);
+    EXPECT_GT(metrics.at("gauges").at("sim.queue_high_water").asNumber(),
+              0.0);
     std::remove(path.c_str());
 }
 
@@ -304,14 +289,12 @@ TEST(Cli, DeterministicCountersIdenticalAcrossThreadCounts)
         sdnav::json::parseFile(path1).at("metrics");
     sdnav::json::Value m8 =
         sdnav::json::parseFile(path8).at("metrics");
-    if (m1.at("enabled").asBool()) {
-        for (const char *name : {"sweep.points", "sweep.runs",
-                                 "bdd.prob_evals",
-                                 "bdd.unique_table_misses"}) {
-            EXPECT_DOUBLE_EQ(m1.at("counters").at(name).asNumber(),
-                             m8.at("counters").at(name).asNumber())
-                << name;
-        }
+    for (const char *name : {"sweep.points", "sweep.runs",
+                             "bdd.prob_evals",
+                             "bdd.unique_table_misses"}) {
+        EXPECT_DOUBLE_EQ(m1.at("counters").at(name).asNumber(),
+                         m8.at("counters").at(name).asNumber())
+            << name;
     }
     std::remove(path1.c_str());
     std::remove(path8.c_str());
@@ -350,18 +333,13 @@ TEST(Cli, TraceFlagWritesValidChromeTrace)
     sdnav::json::Value doc = sdnav::json::parseFile(path);
     EXPECT_EQ(doc.at("displayTimeUnit").asString(), "ms");
     const auto &events = doc.at("traceEvents").asArray();
-    if (kMetricsEnabled) {
-        bool saw_sim_span = false;
-        for (const sdnav::json::Value &event : events) {
-            if (event.at("name").asString() == "sim.controller_run")
-                saw_sim_span = true;
-        }
-        EXPECT_TRUE(saw_sim_span);
-        EXPECT_GT(events.size(), 1u);
-    } else {
-        // No-op build still writes a valid, empty trace.
-        EXPECT_TRUE(events.empty());
+    bool saw_sim_span = false;
+    for (const sdnav::json::Value &event : events) {
+        if (event.at("name").asString() == "sim.controller_run")
+            saw_sim_span = true;
     }
+    EXPECT_TRUE(saw_sim_span);
+    EXPECT_GT(events.size(), 1u);
     std::remove(path.c_str());
 }
 
