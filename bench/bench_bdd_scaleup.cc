@@ -83,7 +83,10 @@ printReport()
         ExactPlaneModel plain(raft, topo, SupervisorPolicy::Required,
                               fmea::Plane::ControlPlane, plain_opts);
         double compile_ms = elapsedMs(t0);
-        std::size_t peak = plain.totalBddNodes();
+        // The model keeps only its frozen diagram; the compile's
+        // arena size comes from a second, untimed compile.
+        std::size_t peak =
+            rbd::CompiledRbd(plain.system()).totalNodes();
 
         // Sifting cost grows with the variable count; cap the pass at
         // the 64 widest variables so the largest clusters stay inside

@@ -90,8 +90,9 @@ printReport()
                 .ys;
         });
 
-    // Repeated evaluation must not grow the BDD: probability() is a
-    // read-only traversal, so totalNodes() stays fixed after build.
+    // Repeated evaluation must not change the model: availability()
+    // reads an immutable frozen diagram, so the resident node count
+    // stays fixed after build.
     auto topo = topology::largeTopology();
     ExactPlaneModel engine(catalog, topo, SupervisorPolicy::Required,
                            fmea::Plane::ControlPlane);

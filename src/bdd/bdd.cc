@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_set>
 
 #include "common/error.hh"
 #include "obs/obs.hh"
@@ -511,57 +510,122 @@ double
 BddManager::probability(NodeRef f, std::span<const double> probs,
                         ProbabilityScratch &scratch) const
 {
-    {
-        static obs::Counter &evals =
-            obs::Registry::global().counter("bdd.prob_evals");
-        static obs::Counter &reuses =
-            obs::Registry::global().counter("bdd.scratch_reuses");
-        evals.add();
-        if (scratch.value_.capacity() >= nodes_.size() &&
-            !scratch.value_.empty()) {
-            ++scratch.reuses_;
-            reuses.add();
+    freezeInto(f, scratch, scratch.diagram_);
+    return scratch.diagram_.probability(probs, scratch);
+}
+
+FrozenDiagram
+BddManager::freeze(NodeRef f) const
+{
+    obs::TraceSpan trace_span("bdd.freeze");
+    ProbabilityScratch work;
+    FrozenDiagram frozen;
+    freezeInto(f, work, frozen);
+    return frozen;
+}
+
+void
+BddManager::freezeInto(NodeRef f, ProbabilityScratch &scratch,
+                       FrozenDiagram &out) const
+{
+    constexpr std::uint32_t unvisited =
+        std::numeric_limits<std::uint32_t>::max();
+    // Restore the map left by the previous call before reusing it;
+    // doing it here rather than on exit keeps the map consistent
+    // even if that call threw part-way.
+    std::vector<std::uint32_t> &slot = scratch.slot_;
+    std::vector<NodeRef> &refs = scratch.frozen_refs_;
+    for (NodeRef ref : refs)
+        slot[ref] = unvisited;
+    refs.clear();
+    if (slot.size() < nodes_.size())
+        slot.resize(nodes_.size(), unvisited);
+    slot[falseNode] = 0;
+    slot[trueNode] = 1;
+
+    // Find the reachable nodes, breadth first. Until the numbering
+    // below, an expanded node's map entry holds its level, and
+    // level_start[] counts the nodes per level.
+    std::vector<std::uint32_t> &level_start = scratch.level_start_;
+    level_start.assign(variable_count_, 0);
+    auto find = [&](NodeRef ref) {
+        if (slot[ref] == unvisited) {
+            refs.push_back(ref);
+            slot[ref] = 0;
         }
+    };
+    find(f);
+    for (std::size_t i = 0; i < refs.size(); ++i) {
+        const Node &node = nodes_[refs[i]];
+        unsigned level = level_of_var_[node.var];
+        slot[refs[i]] = level;
+        ++level_start[level];
+        find(node.low);
+        find(node.high);
     }
 
-    // Dense memo keyed by NodeRef (refs index nodes_ directly). The
-    // assign() calls reuse the scratch's capacity, so after the first
-    // evaluation at a given manager size this allocates nothing.
-    auto &value = scratch.value_;
-    auto &known = scratch.known_;
-    std::vector<NodeRef> &stack = scratch.stack_;
-    value.assign(nodes_.size(), 0.0);
-    known.assign(nodes_.size(), 0);
+    // Number them bottom level first: in an ordered diagram a child
+    // always sits on a lower level than its parents, so it gets the
+    // smaller slot. Level-major order also keeps each node's children
+    // close together in memory, which the evaluation loop reads.
+    std::uint32_t next = 0;
+    for (std::size_t level = variable_count_; level-- > 0;) {
+        std::uint32_t count = level_start[level];
+        level_start[level] = next;
+        next += count;
+    }
+    std::vector<NodeRef> &order = scratch.order_;
+    order.resize(refs.size());
+    for (NodeRef ref : refs) {
+        std::uint32_t k = level_start[slot[ref]]++;
+        order[k] = ref;
+        slot[ref] = k + 2;
+    }
+
+    std::size_t n = order.size();
+    out.var_.resize(n);
+    out.low_.resize(n);
+    out.high_.resize(n);
+    out.variableBound_ = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+        const Node &node = nodes_[order[k]];
+        out.var_[k] = node.var;
+        out.low_[k] = slot[node.low];
+        out.high_[k] = slot[node.high];
+        out.variableBound_ =
+            std::max<std::size_t>(out.variableBound_, node.var + 1u);
+    }
+    out.root_ = slot[f];
+}
+
+double
+FrozenDiagram::probability(std::span<const double> probs,
+                           ProbabilityScratch &scratch) const
+{
+    static obs::Counter &evals =
+        obs::Registry::global().counter("bdd.prob_evals");
+    evals.add();
+    require(variableBound_ <= probs.size(),
+            "probability(): probs does not cover all BDD variables");
+
+    // Shannon decomposition, children before parents. This is the
+    // only place a probability is computed from a diagram. Keep the
+    // expression and its operand order: tests hold every result to
+    // 0 ulp against a reference evaluator that uses the same ones.
+    PageVector<double> &value = scratch.value_;
+    value.resize(var_.size() + 2);
+    value[falseNode] = 0.0;
     value[trueNode] = 1.0;
-    known[falseNode] = 1;
-    known[trueNode] = 1;
-
-    // Explicit stack to avoid deep recursion on long chains.
-    stack.clear();
-    stack.push_back(f);
-    while (!stack.empty()) {
-        NodeRef cur = stack.back();
-        if (known[cur]) {
-            stack.pop_back();
-            continue;
-        }
-        const Node &node = nodes_[cur];
-        require(node.var < probs.size(),
-                "probability(): probs does not cover all BDD variables");
-        if (known[node.low] && known[node.high]) {
-            double p = probs[node.var];
-            value[cur] = p * value[node.high] +
-                         (1.0 - p) * value[node.low];
-            known[cur] = 1;
-            stack.pop_back();
-        } else {
-            if (!known[node.high])
-                stack.push_back(node.high);
-            if (!known[node.low])
-                stack.push_back(node.low);
-        }
+    const std::uint32_t *var = var_.data();
+    const std::uint32_t *low = low_.data();
+    const std::uint32_t *high = high_.data();
+    double *v = value.data();
+    const double *p_of = probs.data();
+    for (std::size_t k = 0, n = var_.size(); k < n; ++k) {
+        double p = p_of[var[k]];
+        v[k + 2] = p * v[high[k]] + (1.0 - p) * v[low[k]];
     }
-    return value[f];
+    return v[root_];
 }
 
 bool
@@ -579,17 +643,22 @@ BddManager::evaluate(NodeRef f, const std::vector<bool> &assignment) const
 std::size_t
 BddManager::nodeCount(NodeRef f) const
 {
-    std::unordered_set<NodeRef> seen;
+    std::vector<std::uint8_t> seen(nodes_.size(), 0);
+    seen[falseNode] = 1;
+    seen[trueNode] = 1;
+    std::size_t count = 0;
     std::vector<NodeRef> stack{f};
     while (!stack.empty()) {
         NodeRef cur = stack.back();
         stack.pop_back();
-        if (isTerminal(cur) || !seen.insert(cur).second)
+        if (seen[cur])
             continue;
+        seen[cur] = 1;
+        ++count;
         stack.push_back(nodes_[cur].low);
         stack.push_back(nodes_[cur].high);
     }
-    return seen.size();
+    return count;
 }
 
 void

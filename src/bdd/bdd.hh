@@ -24,9 +24,12 @@
  *    (reorderSifting) that rewrites nodes in place, so NodeRefs held
  *    by callers stay valid and keep denoting the same function;
  *  - ITE-based apply with a lossy direct-mapped computed cache,
- *    threshold ("at least m of these functions") builders, cofactor
- *    restriction, and probability evaluation — all iterative, so
- *    deep chain diagrams cannot overflow the call stack.
+ *    threshold ("at least m of these functions") builders and
+ *    cofactor restriction — all iterative, so deep chain diagrams
+ *    cannot overflow the call stack;
+ *  - freeze(): export one root's reachable nodes as an immutable
+ *    FrozenDiagram, the single place probabilities are evaluated
+ *    (one forward pass; the manager can then be dropped).
  *
  * Callers still control the initial variable order (group components
  * of a node/rack together for compact diagrams); reordering only runs
@@ -170,15 +173,71 @@ constexpr NodeRef falseNode = 0;
 /** The constant-true terminal. */
 constexpr NodeRef trueNode = 1;
 
+class ProbabilityScratch;
+
 /**
- * Caller-owned workspace for BddManager::probability().
+ * An immutable, evaluation-only export of one BDD root.
  *
- * Evaluating a probability needs a per-node memo and a traversal
- * stack. A sweep calling probability() thousands of times with only
- * the per-variable probabilities changing would otherwise pay a fresh
- * allocation per point; holding one scratch per thread (the scratch is
- * NOT thread-safe, the manager's read-only evaluation is) makes
- * repeated evaluation allocation-free after the first call.
+ * A compiled manager's arena also holds every intermediate its build
+ * produced: for OpenContrail on the Large topology only about a fifth
+ * of the arena is reachable from the root. BddManager::freeze() copies
+ * out just the reachable nodes, renumbered level by level from the
+ * bottom so that every child precedes its parents, as three 32-bit
+ * arrays (variable, low child, high child). Value slots 0 and 1 are
+ * the false and true terminals and node k is slot k + 2, so
+ * evaluation is one forward pass over the arrays: no visited flags,
+ * no stack, no per-arena initialisation.
+ *
+ * The diagram owns its arrays and shares nothing with the manager
+ * that froze it, so the manager can be destroyed once frozen. It is
+ * immutable: one diagram can serve concurrent probability() calls
+ * from many threads, each passing its own scratch.
+ */
+class FrozenDiagram
+{
+  public:
+    /** The constant-false diagram. */
+    FrozenDiagram() = default;
+
+    /**
+     * Probability that the function is true when each variable i is
+     * independently true with probability probs[i].
+     *
+     * @param probs Per-variable probabilities; must cover every
+     *              variable appearing in the diagram.
+     * @param scratch Per-thread value buffer, reused across calls.
+     */
+    double probability(std::span<const double> probs,
+                       ProbabilityScratch &scratch) const;
+
+    /** Number of (non-terminal) nodes in the diagram. */
+    std::size_t nodeCount() const { return var_.size(); }
+
+  private:
+    friend class BddManager;
+
+    // Node k's variable and the value slots of its children.
+    std::vector<std::uint32_t> var_;
+    std::vector<std::uint32_t> low_;
+    std::vector<std::uint32_t> high_;
+
+    /** Value slot of the root (0 or 1 for a constant). */
+    std::uint32_t root_ = 0;
+
+    /** One past the largest variable index in the diagram. */
+    std::size_t variableBound_ = 0;
+};
+
+/**
+ * Caller-owned workspace for probability evaluation.
+ *
+ * FrozenDiagram::probability() needs one value per node, and
+ * BddManager::probability() first freezes its root, which needs a
+ * ref-to-slot map sized to the arena and per-node work lists. A sweep
+ * evaluating thousands of points would otherwise pay fresh
+ * allocations per point; holding one scratch per thread (the scratch
+ * is NOT thread-safe, the diagram and the manager's evaluation are)
+ * makes repeated evaluation allocation-free after the first call.
  */
 class ProbabilityScratch
 {
@@ -189,31 +248,26 @@ class ProbabilityScratch
     void
     clear()
     {
-        value_.clear();
-        value_.shrink_to_fit();
-        known_.clear();
-        known_.shrink_to_fit();
-        stack_.clear();
-        stack_.shrink_to_fit();
+        *this = ProbabilityScratch();
     }
-
-    /**
-     * Evaluations served from already-sized buffers (no allocation).
-     * First use and post-clear() use are not reuses; the count is
-     * per-scratch, so per-thread sweep scratches each start at zero.
-     */
-    std::uint64_t reuseCount() const { return reuses_; }
 
   private:
     friend class BddManager;
+    friend class FrozenDiagram;
 
-    std::uint64_t reuses_ = 0;
-
-    // PageVector: eval walks these in data-dependent order, so their
+    // PageVector: eval reads this in data-dependent order, so its
     // page placement must not depend on prior heap churn.
     PageVector<double> value_;
-    PageVector<std::uint8_t> known_;
-    std::vector<NodeRef> stack_;
+
+    // BddManager::probability() only: the diagram it freezes into;
+    // the arena ref -> value slot map, all-unvisited between calls
+    // except for the refs listed in frozen_refs_ (the nodes frozen
+    // last call); the per-level counts; and the numbering order.
+    FrozenDiagram diagram_;
+    std::vector<std::uint32_t> slot_;
+    std::vector<NodeRef> frozen_refs_;
+    std::vector<std::uint32_t> level_start_;
+    std::vector<NodeRef> order_;
 };
 
 /**
@@ -343,9 +397,18 @@ class BddManager
     /**
      * As probability(), reusing a caller-owned scratch so repeated
      * evaluation (sweeps) allocates nothing after the first call.
+     * Freezes f into the scratch, then evaluates the frozen copy.
      */
     double probability(NodeRef f, std::span<const double> probs,
                        ProbabilityScratch &scratch) const;
+
+    /**
+     * Export the nodes reachable from f as an immutable diagram that
+     * evaluates to the same value, bit for bit, as probability(f, ...).
+     * Cost: a breadth-first pass over the reachable nodes, a counting
+     * sort of them by level, and a ref-to-slot map sized to the arena.
+     */
+    FrozenDiagram freeze(NodeRef f) const;
 
     /** Evaluate the function on a concrete assignment. */
     bool evaluate(NodeRef f, const std::vector<bool> &assignment) const;
@@ -566,6 +629,10 @@ class BddManager
     void decReorderRef(NodeRef f);
 
     bool isTerminal(NodeRef f) const { return f <= trueNode; }
+
+    /** Freeze f into `out`, using the scratch's map and stack. */
+    void freezeInto(NodeRef f, ProbabilityScratch &scratch,
+                    FrozenDiagram &out) const;
 
     // PageVector: the arena is the eval/apply hot path's working
     // set; fresh pages keep its layout independent of heap history.

@@ -2,10 +2,10 @@
  * @file
  * An STL allocator that serves large blocks straight from the OS.
  *
- * The BDD evaluation hot path pointer-chases multi-megabyte arrays:
- * the node arena and the dense per-eval memo, both indexed by
- * NodeRef in data-dependent order. When those arrays come from the
- * general-purpose heap their page placement depends on every
+ * The BDD hot paths read multi-megabyte arrays in data-dependent
+ * order: the node arena (compile) and the per-eval value buffer
+ * (evaluation gathers children's values). When those arrays come
+ * from the general-purpose heap their page placement depends on every
  * allocation and free the process made before them. glibc's mmap
  * threshold *slides up* after large frees, so a model compiled after
  * cache evictions can land in recycled, fragmented heap pages and

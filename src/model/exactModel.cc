@@ -269,6 +269,21 @@ buildWithClasses(const fmea::ControllerCatalog &catalog,
                             &classes, order);
 }
 
+/**
+ * Compile the structure function and keep only its frozen root: the
+ * manager is a build-time structure, released on return.
+ */
+bdd::FrozenDiagram
+compileFrozen(const rbd::RbdSystem &system,
+              const ExactPlaneModel::Options &options)
+{
+    rbd::CompiledRbd compiled(
+        system, rbd::CompiledRbd::Options{options.reorderBdd,
+                                          options.reorderOptions,
+                                          options.budget});
+    return compiled.manager().freeze(compiled.root());
+}
+
 } // anonymous namespace
 
 ExactPlaneModel::ExactPlaneModel(const fmea::ControllerCatalog &catalog,
@@ -277,10 +292,7 @@ ExactPlaneModel::ExactPlaneModel(const fmea::ControllerCatalog &catalog,
                                  const Options &options)
     : system_(buildWithClasses(catalog, topo, policy, plane,
                                options.order, classes_)),
-      compiled_(system_,
-                rbd::CompiledRbd::Options{options.reorderBdd,
-                                          options.reorderOptions,
-                                          options.budget})
+      diagram_(compileFrozen(system_, options))
 {
 }
 
@@ -302,7 +314,7 @@ ExactPlaneModel::availability(const SwParams &params,
     std::vector<double> probs(classes_.size());
     for (std::size_t i = 0; i < classes_.size(); ++i)
         probs[i] = exactClassAvailability(classes_[i], params);
-    return compiled_.probability(probs, scratch);
+    return diagram_.probability(probs, scratch);
 }
 
 } // namespace sdnav::model

@@ -111,8 +111,11 @@ double exactPlaneAvailability(const fmea::ControllerCatalog &catalog,
  * exactPlaneAvailability() rebuilds the component table and
  * recompiles the BDD on every call even though only the per-variable
  * probabilities change between sweep points. This class does the
- * expensive work once per (catalog, topology, policy, plane) and
- * makes each sweep point a single linear-time BDD traversal.
+ * expensive work once per (catalog, topology, policy, plane): it
+ * compiles the structure function, freezes the root into a
+ * bdd::FrozenDiagram and drops the compile's manager (arena, unique
+ * tables, ITE cache). Each sweep point or query is then one forward
+ * pass over the reachable nodes only.
  *
  * availability() is const and evaluation-only: one model can be
  * shared read-only across sweep worker threads, each thread passing
@@ -171,20 +174,20 @@ class ExactPlaneModel
     const rbd::RbdSystem &system() const { return system_; }
 
     /** Compiled diagram size (reachable nodes). */
-    std::size_t bddNodeCount() const { return compiled_.nodeCount(); }
+    std::size_t bddNodeCount() const { return diagram_.nodeCount(); }
 
     /**
-     * Total nodes allocated in the compiled manager. Evaluation must
-     * never grow this; sweep benches assert it stays constant.
+     * BDD nodes the model keeps resident: the frozen diagram only,
+     * so this equals bddNodeCount(). Evaluation never changes it.
      */
-    std::size_t totalBddNodes() const { return compiled_.totalNodes(); }
+    std::size_t totalBddNodes() const { return diagram_.nodeCount(); }
 
   private:
     // Declaration order is load-bearing: system_'s initializer fills
-    // classes_, and compiled_ compiles system_.
+    // classes_, and diagram_ is compiled from system_.
     std::vector<ExactComponentClass> classes_;
     rbd::RbdSystem system_;
-    rbd::CompiledRbd compiled_;
+    bdd::FrozenDiagram diagram_;
 };
 
 } // namespace sdnav::model

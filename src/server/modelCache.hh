@@ -4,22 +4,25 @@
  *
  * Compiling an ExactPlaneModel (building the full RBD and its BDD)
  * costs milliseconds to hundreds of milliseconds; evaluating one at
- * new parameters is a microsecond-scale linear traversal. The cache
- * keys on QuerySpec::modelKey() — (catalog, topology, nodes, policy,
- * plane), never the parameters — so every repeat what-if query skips
- * compilation entirely.
+ * new parameters is one forward pass over its frozen diagram, about
+ * 50 us for OpenContrail Large x3 CP (median on a 4-core x86-64
+ * VM). The cache keys on QuerySpec::modelKey() — (catalog, topology,
+ * nodes, policy, plane), never the parameters — so every repeat
+ * what-if query skips compilation entirely.
  *
  * Concurrency: lookups take one mutex; compilation happens *outside*
  * it. Concurrent misses on the same key coalesce onto a single
  * compile (the losers wait on a shared_future and count as hits —
  * they never compiled). Concurrent misses on different keys compile
- * in parallel; each model owns its own BddManager, so builds are
+ * in parallel; each compile owns its own BddManager, so builds are
  * independent. Served models are shared_ptr, so an entry evicted
  * while a worker still evaluates it stays alive until released.
  *
  * Accounting: entryCount() never exceeds capacity, and
- * totalBddNodes() tracks the summed reachable-node footprint of the
- * resident models — the number the `stats` command reports.
+ * totalBddNodes() tracks the summed frozen-diagram size of the
+ * resident models — the number the `stats` command reports. Reading
+ * a model's size is O(1), so nothing traverses a diagram under the
+ * mutex.
  */
 
 #ifndef SDNAV_SERVER_MODEL_CACHE_HH

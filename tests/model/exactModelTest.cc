@@ -3,11 +3,15 @@
  * Tests for the exact process-level structure-function builder.
  */
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/error.hh"
 #include "fmea/openContrail.hh"
 #include "model/exactModel.hh"
+#include "support/referenceProbability.hh"
 
 namespace
 {
@@ -260,6 +264,80 @@ TEST(ExactPlaneModelTest, ReorderedModelMatchesDefaultAvailability)
     }
     // Sifting may only shrink or keep the reachable diagram.
     EXPECT_LE(sifted.bddNodeCount(), plain.bddNodeCount());
+}
+
+TEST(ExactPlaneModelTest, GoldenModelsMatchReferenceEvaluationBitExactly)
+{
+    // Every exact model behind a golden CSV: the figure 4/5 grids
+    // (OpenContrail, Small/Large, both policies, both planes), the
+    // raft control-plane scale-up ladder and the OpenContrail
+    // data-plane cluster-size ladder (node-major, 3..31 nodes). The
+    // frozen model must equal the reference evaluator run over a
+    // freshly compiled manager, to the last bit.
+    struct Case
+    {
+        std::string label;
+        fmea::ControllerCatalog catalog;
+        topology::DeploymentTopology topo;
+        SupervisorPolicy policy;
+        Plane plane;
+        ExactVariableOrder order;
+    };
+    std::vector<Case> cases;
+    auto oc = fmea::openContrail3();
+    for (auto kind : {topology::ReferenceKind::Small,
+                      topology::ReferenceKind::Large}) {
+        for (auto policy : {SupervisorPolicy::NotRequired,
+                            SupervisorPolicy::Required}) {
+            for (auto plane : {Plane::ControlPlane, Plane::DataPlane}) {
+                std::string label =
+                    "openContrail " + topology::referenceKindName(kind) +
+                    (policy == SupervisorPolicy::Required ? " required"
+                                                          : " optional") +
+                    (plane == Plane::ControlPlane ? " CP" : " DP");
+                cases.push_back(
+                    {label, oc, topology::referenceTopology(kind),
+                     policy, plane,
+                     ExactVariableOrder::SharedInfrastructureFirst});
+            }
+        }
+    }
+    auto raft = fmea::raftStyleController();
+    for (std::size_t nodes : {3u, 5u, 9u, 17u, 31u}) {
+        cases.push_back(
+            {"raft CP " + std::to_string(nodes), raft,
+             topology::largeTopology(raft.roles().size(), nodes),
+             SupervisorPolicy::Required, Plane::ControlPlane,
+             ExactVariableOrder::NodeMajor});
+        cases.push_back(
+            {"openContrail DP " + std::to_string(nodes), oc,
+             topology::largeTopology(oc.roles().size(), nodes),
+             SupervisorPolicy::Required, Plane::DataPlane,
+             ExactVariableOrder::NodeMajor});
+    }
+
+    for (const Case &c : cases) {
+        ExactPlaneModel::Options options;
+        options.order = c.order;
+        ExactPlaneModel model(c.catalog, c.topo, c.policy, c.plane,
+                              options);
+        sdnav::rbd::CompiledRbd fresh(model.system());
+        EXPECT_EQ(model.bddNodeCount(), fresh.nodeCount()) << c.label;
+        sdnav::bdd::ProbabilityScratch scratch;
+        for (double shift : {-1.0, 0.5}) {
+            SwParams params = SwParams{}.withDowntimeShift(shift);
+            auto system = buildExactSystem(c.catalog, c.topo, c.policy,
+                                           params, c.plane, nullptr,
+                                           c.order);
+            std::vector<double> probs(system.componentCount());
+            for (std::size_t i = 0; i < probs.size(); ++i)
+                probs[i] = system.componentAvailability(i);
+            double expected = sdnav::test::referenceProbability(
+                fresh.manager(), fresh.root(), probs);
+            EXPECT_EQ(model.availability(params, scratch), expected)
+                << c.label << " shift " << shift;
+        }
+    }
 }
 
 TEST(ExactPlaneModelTest, InvalidParamsRejected)

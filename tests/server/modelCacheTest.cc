@@ -104,6 +104,17 @@ TEST(ModelCache, CapacityAccountingStaysExact)
               0.0);
 }
 
+TEST(ModelCache, ReferenceModelFootprintIsPinned)
+{
+    // OpenContrail Large x3 CP (the default query): the `stats`
+    // bdd_nodes value counts the frozen diagram, which holds exactly
+    // the nodes reachable from the compiled root.
+    ModelCache cache(2);
+    CacheLookup lookup = cache.acquire(QuerySpec{});
+    EXPECT_EQ(lookup.model->bddNodeCount(), 36372u);
+    EXPECT_EQ(cache.totalBddNodes(), 36372u);
+}
+
 TEST(ModelCache, ConcurrentSameKeyMissesCoalesceToOneCompile)
 {
     ModelCache cache(4);
