@@ -2,8 +2,8 @@
  * @file
  * BDD engine scale-up: exact structure-function compilation for
  * generalized 2N+1 clusters at ten times the paper's Large reference
- * (cluster size 31 vs 3), exercising the manager's garbage collector
- * and sifting-based variable reordering.
+ * (cluster size 31 vs 3), exercising sifting-based variable
+ * reordering and the garbage collection that opens each sifting pass.
  *
  * The control-plane ladder uses the Raft-style catalog: its six
  * quorum blocks keep the exact diagram polynomial in the cluster
@@ -11,10 +11,10 @@
  * sixteen CP blocks are intrinsically exponential (the per-block
  * counter product crosses every node group). The OpenContrail CP
  * section contrasts the two variable orders at the reference size,
- * and the GC section drives a Birnbaum-style restrict sweep over the
- * paper's exact Large model.
+ * and the importance section times every Birnbaum importance of the
+ * paper's exact Large model as one gradient of the frozen diagram.
  *
- * Deterministic outputs (node counts, reclaim counts, availabilities)
+ * Deterministic outputs (node counts, availabilities)
  * go to bdd_scaleup.csv and are golden-gated; wall times go to stdout
  * and the bench JSON "values" array, which the perf gate tracks but
  * never diffs strictly.
@@ -77,30 +77,30 @@ printReport()
         std::size_t nodes = prob::clusterSize(tolerated);
         auto topo = topology::largeTopology(raft_roles, nodes);
 
-        ExactPlaneModel::Options plain_opts;
-        plain_opts.order = ExactVariableOrder::NodeMajor;
+        auto system = buildExactSystem(
+            raft, topo, SupervisorPolicy::Required, params,
+            fmea::Plane::ControlPlane, nullptr,
+            ExactVariableOrder::NodeMajor);
         auto t0 = clock_type::now();
-        ExactPlaneModel plain(raft, topo, SupervisorPolicy::Required,
-                              fmea::Plane::ControlPlane, plain_opts);
+        rbd::FrozenRbd plain = rbd::compileFrozen(system);
         double compile_ms = elapsedMs(t0);
-        // The model keeps only its frozen diagram; the compile's
-        // arena size comes from a second, untimed compile.
-        std::size_t peak =
-            rbd::CompiledRbd(plain.system()).totalNodes();
+        std::size_t peak = plain.stats.peakNodes;
 
         // Sifting cost grows with the variable count; cap the pass at
         // the 64 widest variables so the largest clusters stay inside
         // the bench budget while the small ones sift everything.
-        ExactPlaneModel::Options sift_opts = plain_opts;
-        sift_opts.reorderBdd = true;
+        rbd::CompileOptions sift_opts;
+        sift_opts.reorder = true;
         sift_opts.reorderOptions.maxVars = 64;
         t0 = clock_type::now();
-        ExactPlaneModel sifted(raft, topo, SupervisorPolicy::Required,
-                               fmea::Plane::ControlPlane, sift_opts);
+        rbd::FrozenRbd sifted = rbd::compileFrozen(system, sift_opts);
         double sift_ms = elapsedMs(t0);
 
-        double cp = plain.availability(params);
-        double cp_sifted = sifted.availability(params);
+        bdd::ProbabilityScratch scratch;
+        double cp = plain.diagram.probability(system.availabilities(),
+                                              scratch);
+        double cp_sifted = sifted.diagram.probability(
+            system.availabilities(), scratch);
         require(std::abs(cp - cp_sifted) <= 1e-12,
                 "reordering changed the exact availability");
 
@@ -112,9 +112,9 @@ printReport()
                            sift_ms);
         table.addRow(
             {std::to_string(tolerated), std::to_string(nodes),
-             std::to_string(plain.system().componentCount()),
-             std::to_string(plain.bddNodeCount()),
-             std::to_string(sifted.bddNodeCount()),
+             std::to_string(system.componentCount()),
+             std::to_string(plain.diagram.nodeCount()),
+             std::to_string(sifted.diagram.nodeCount()),
              std::to_string(peak), formatFixed(compile_ms, 2),
              formatFixed(sift_ms, 2),
              formatFixed(availabilityToDowntimeMinutesPerYear(cp),
@@ -122,9 +122,9 @@ printReport()
         csv.addRow(
             std::to_string(tolerated),
             {static_cast<double>(nodes),
-             static_cast<double>(plain.system().componentCount()),
-             static_cast<double>(plain.bddNodeCount()),
-             static_cast<double>(sifted.bddNodeCount()), cp});
+             static_cast<double>(system.componentCount()),
+             static_cast<double>(plain.diagram.nodeCount()),
+             static_cast<double>(sifted.diagram.nodeCount()), cp});
     }
     std::cout << table.str() << "\n";
     std::cout
@@ -165,49 +165,36 @@ printReport()
                   << formatFixed(compile_ms, 2) << " ms\n";
     }
 
-    bench::section("BDD garbage collection — Birnbaum restrict sweep "
-                   "on the paper's exact Large CP model");
-    // A Birnbaum-style restrict sweep generates the same garbage
-    // rankImportance() does; the collector must reclaim all of it
-    // while the rooted diagram survives. Every count here is
-    // deterministic.
+    bench::section("Adjoint importance — every Birnbaum importance of "
+                   "the paper's exact Large CP model in one reverse "
+                   "pass");
+    // The cost of rankImportance() by phase: the compile dominates;
+    // the gradient is one forward and one reverse pass over the
+    // reachable nodes, whatever the component count.
     auto system = buildExactSystem(oc, oc_topo,
                                    SupervisorPolicy::Required, params,
                                    fmea::Plane::ControlPlane);
+    auto t0 = clock_type::now();
     bdd::BddManager manager;
     bdd::NodeRef f = system.compile(manager);
-    bdd::ScopedRoot root(manager, f);
-    std::size_t live_before = manager.liveNodes();
-    auto t0 = clock_type::now();
-    bdd::RestrictScratch scratch;
-    for (std::size_t id = 0; id < system.componentCount(); ++id) {
-        unsigned var = static_cast<unsigned>(id);
-        benchmark::DoNotOptimize(
-            manager.restrict(f, var, true, scratch));
-        benchmark::DoNotOptimize(
-            manager.restrict(f, var, false, scratch));
-    }
-    double sweep_ms = elapsedMs(t0);
-    std::size_t live_peak = manager.liveNodes();
+    double compile_ms = elapsedMs(t0);
     t0 = clock_type::now();
-    manager.collectGarbage();
-    double gc_ms = elapsedMs(t0);
-    std::size_t live_after = manager.liveNodes();
-    require(live_after <= live_before,
-            "GC left more live nodes than before the sweep");
-    bdd::BddStats stats = manager.stats();
-    bench::recordValue("gc_live_before", double(live_before));
-    bench::recordValue("gc_live_peak", double(live_peak));
-    bench::recordValue("gc_live_after", double(live_after));
-    bench::recordValue("gc_reclaimed_nodes",
-                       double(stats.gcReclaimedNodes));
-    bench::recordValue("gc_restrict_sweep_ms", sweep_ms);
-    bench::recordValue("gc_ms", gc_ms);
-    std::cout << "restrict sweep over "
-              << system.componentCount() * 2 << " cofactors: live "
-              << live_before << " -> peak " << live_peak
-              << ", GC reclaimed " << stats.gcReclaimedNodes
-              << " nodes back to " << live_after << " live\n";
+    bdd::FrozenDiagram diagram = manager.freeze(f);
+    double freeze_ms = elapsedMs(t0);
+    bdd::ProbabilityScratch scratch;
+    std::vector<double> birnbaum;
+    t0 = clock_type::now();
+    diagram.gradient(system.availabilities(), scratch, birnbaum);
+    double gradient_ms = elapsedMs(t0);
+    bench::recordValue("importance_compile_ms", compile_ms);
+    bench::recordValue("importance_freeze_ms", freeze_ms);
+    bench::recordValue("importance_gradient_ms", gradient_ms);
+    std::cout << birnbaum.size() << " components: compile "
+              << formatFixed(compile_ms, 2) << " ms ("
+              << manager.liveNodes() << " nodes), freeze "
+              << formatFixed(freeze_ms, 2) << " ms ("
+              << diagram.nodeCount() << " reachable), gradient "
+              << formatFixed(gradient_ms, 3) << " ms\n";
 }
 
 void

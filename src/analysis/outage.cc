@@ -42,8 +42,8 @@ namespace
 {
 
 /**
- * Shared worker: Birnbaum importances from one BDD compilation, then
- * the frequency-duration algebra.
+ * Shared worker: every Birnbaum importance from one gradient of the
+ * frozen structure function, then the frequency-duration algebra.
  */
 OutageProfile
 profileImpl(const rbd::RbdSystem &system,
@@ -53,41 +53,23 @@ profileImpl(const rbd::RbdSystem &system,
     require(mtbf_hours.size() == system.componentCount(),
             "need one MTBF per component");
 
-    bdd::BddManager manager;
-    bdd::NodeRef f = system.compile(manager);
-    // Pin the structure function: the restrict loop below litters the
-    // manager with cofactor intermediates, and the periodic safe-point
-    // collections must reclaim exactly those.
-    bdd::ScopedRoot root(manager, f);
-    bdd::ProbabilityScratch prob_scratch;
-    bdd::RestrictScratch restrict_scratch;
-
-    std::vector<double> probs;
-    probs.reserve(system.componentCount());
-    for (rbd::ComponentId id = 0; id < system.componentCount(); ++id)
-        probs.push_back(system.componentAvailability(id));
-
+    const std::vector<double> &probs = system.availabilities();
+    bdd::FrozenDiagram diagram = rbd::compileFrozen(system).diagram;
+    bdd::ProbabilityScratch scratch;
     OutageProfile profile;
-    profile.availability = manager.probability(f, probs, prob_scratch);
+    profile.availability = diagram.probability(probs, scratch);
+    std::vector<double> birnbaum;
+    diagram.gradient(probs, scratch, birnbaum);
 
     double nu = 0.0;
     for (rbd::ComponentId id = 0; id < system.componentCount(); ++id) {
         requirePositive(mtbf_hours[id], "mtbfHours");
         double a = probs[id];
-        unsigned var = static_cast<unsigned>(id);
-        double up = manager.probability(
-            manager.restrict(f, var, true, restrict_scratch), probs,
-            prob_scratch);
-        double down = manager.probability(
-            manager.restrict(f, var, false, restrict_scratch), probs,
-            prob_scratch);
-        double birnbaum = up - down;
-        manager.maybeCollect();
         // Unconditional component failure frequency: the component
         // completes one up-down cycle every MTBF + MTTR hours, and
         // MTTR = MTBF (1 - a) / a, so the cycle time is MTBF / a.
         double frequency = a > 0.0 ? a / mtbf_hours[id] : 0.0;
-        double rate = birnbaum * frequency;
+        double rate = birnbaum[id] * frequency;
         nu += rate;
         if (contributions) {
             contributions->push_back(

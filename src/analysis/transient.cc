@@ -28,25 +28,37 @@ componentTransient(double availability, double mtbfHours, double tHours,
     return availability * (1.0 - decay);
 }
 
+namespace
+{
+
+/** Every component's point availability at time t, into probs. */
+void
+componentTransients(const rbd::RbdSystem &system, double mtbfHours,
+                    double t, InitialCondition initial,
+                    std::vector<double> &probs)
+{
+    probs.resize(system.componentCount());
+    for (rbd::ComponentId id = 0; id < probs.size(); ++id) {
+        probs[id] = componentTransient(system.componentAvailability(id),
+                                       mtbfHours, t, initial);
+    }
+}
+
+} // anonymous namespace
+
 std::vector<double>
 systemTransient(const rbd::RbdSystem &system, double mtbfHours,
                 const std::vector<double> &timesHours,
                 InitialCondition initial)
 {
-    bdd::BddManager manager;
-    bdd::NodeRef f = system.compile(manager);
-
+    bdd::FrozenDiagram diagram = rbd::compileFrozen(system).diagram;
+    bdd::ProbabilityScratch scratch;
+    std::vector<double> probs;
     std::vector<double> result;
     result.reserve(timesHours.size());
-    std::vector<double> probs(system.componentCount());
     for (double t : timesHours) {
-        for (rbd::ComponentId id = 0; id < system.componentCount();
-             ++id) {
-            probs[id] = componentTransient(
-                system.componentAvailability(id), mtbfHours, t,
-                initial);
-        }
-        result.push_back(manager.probability(f, probs));
+        componentTransients(system, mtbfHours, t, initial, probs);
+        result.push_back(diagram.probability(probs, scratch));
     }
     return result;
 }
@@ -56,11 +68,14 @@ timeToSteadyState(const rbd::RbdSystem &system, double mtbfHours,
                   InitialCondition initial, double tolerance)
 {
     requirePositive(tolerance, "tolerance");
-    double steady = system.availabilityExact();
+    // One compile serves the steady state and every probe below.
+    bdd::FrozenDiagram diagram = rbd::compileFrozen(system).diagram;
+    bdd::ProbabilityScratch scratch;
+    std::vector<double> probs;
+    double steady = diagram.probability(system.availabilities(), scratch);
     auto deviation = [&](double t) {
-        return std::fabs(
-            systemTransient(system, mtbfHours, {t}, initial)[0] -
-            steady);
+        componentTransients(system, mtbfHours, t, initial, probs);
+        return std::fabs(diagram.probability(probs, scratch) - steady);
     };
     if (deviation(0.0) <= tolerance)
         return 0.0;

@@ -432,122 +432,21 @@ BddManager::atLeast(std::span<const NodeRef> fs, unsigned m)
     return reach[m];
 }
 
-NodeRef
-BddManager::restrict(NodeRef f, unsigned index, bool value)
-{
-    RestrictScratch scratch;
-    return restrict(f, index, value, scratch);
-}
-
-NodeRef
-BddManager::restrict(NodeRef f, unsigned index, bool value,
-                     RestrictScratch &scratch)
-{
-    if (isTerminal(f) || index >= variable_count_)
-        return f;
-
-    // Dense memo over the pre-existing arena (post-order, explicit
-    // stack). Nodes makeNode() creates below are results only, never
-    // memo keys: a restricted subgraph is built strictly from f's
-    // live subgraph, which cannot overlap freshly allocated slots.
-    const std::size_t domain = nodes_.size();
-    const unsigned cut_level = level_of_var_[index];
-    std::vector<NodeRef> &result = scratch.result_;
-    auto &known = scratch.known_;
-    std::vector<NodeRef> &stack = scratch.stack_;
-    result.assign(domain, falseNode);
-    known.assign(domain, 0);
-    result[trueNode] = trueNode;
-    known[falseNode] = 1;
-    known[trueNode] = 1;
-    stack.clear();
-    stack.push_back(f);
-    while (!stack.empty()) {
-        NodeRef cur = stack.back();
-        if (known[cur]) {
-            stack.pop_back();
-            continue;
-        }
-        // Copy the node: makeNode below may reallocate nodes_ and
-        // would invalidate a reference into it.
-        Node node = nodes_[cur];
-        if (level_of_var_[node.var] > cut_level) {
-            // The restricted variable cannot appear below (ordered).
-            result[cur] = cur;
-            known[cur] = 1;
-            stack.pop_back();
-        } else if (node.var == index) {
-            result[cur] = value ? node.high : node.low;
-            known[cur] = 1;
-            stack.pop_back();
-        } else if (known[node.low] && known[node.high]) {
-            result[cur] = makeNode(node.var, result[node.low],
-                                   result[node.high]);
-            known[cur] = 1;
-            stack.pop_back();
-        } else {
-            if (!known[node.high])
-                stack.push_back(node.high);
-            if (!known[node.low])
-                stack.push_back(node.low);
-        }
-    }
-    return result[f];
-}
-
-double
-BddManager::probability(NodeRef f, std::span<const double> probs) const
-{
-    // The scratch overload stays span-free: it is the sweep hot path
-    // (thousands of evaluations per chunk), and the per-chunk sweep
-    // spans already bound it on the timeline.
-    obs::TraceSpan trace_span("bdd.probability");
-    ProbabilityScratch scratch;
-    return probability(f, probs, scratch);
-}
-
-double
-BddManager::probability(NodeRef f, std::span<const double> probs,
-                        ProbabilityScratch &scratch) const
-{
-    freezeInto(f, scratch, scratch.diagram_);
-    return scratch.diagram_.probability(probs, scratch);
-}
-
 FrozenDiagram
 BddManager::freeze(NodeRef f) const
 {
     obs::TraceSpan trace_span("bdd.freeze");
-    ProbabilityScratch work;
-    FrozenDiagram frozen;
-    freezeInto(f, work, frozen);
-    return frozen;
-}
-
-void
-BddManager::freezeInto(NodeRef f, ProbabilityScratch &scratch,
-                       FrozenDiagram &out) const
-{
     constexpr std::uint32_t unvisited =
         std::numeric_limits<std::uint32_t>::max();
-    // Restore the map left by the previous call before reusing it;
-    // doing it here rather than on exit keeps the map consistent
-    // even if that call threw part-way.
-    std::vector<std::uint32_t> &slot = scratch.slot_;
-    std::vector<NodeRef> &refs = scratch.frozen_refs_;
-    for (NodeRef ref : refs)
-        slot[ref] = unvisited;
-    refs.clear();
-    if (slot.size() < nodes_.size())
-        slot.resize(nodes_.size(), unvisited);
+    std::vector<std::uint32_t> slot(nodes_.size(), unvisited);
     slot[falseNode] = 0;
     slot[trueNode] = 1;
 
     // Find the reachable nodes, breadth first. Until the numbering
     // below, an expanded node's map entry holds its level, and
     // level_start[] counts the nodes per level.
-    std::vector<std::uint32_t> &level_start = scratch.level_start_;
-    level_start.assign(variable_count_, 0);
+    std::vector<NodeRef> refs;
+    std::vector<std::uint32_t> level_start(variable_count_, 0);
     auto find = [&](NodeRef ref) {
         if (slot[ref] == unvisited) {
             refs.push_back(ref);
@@ -574,19 +473,18 @@ BddManager::freezeInto(NodeRef f, ProbabilityScratch &scratch,
         level_start[level] = next;
         next += count;
     }
-    std::vector<NodeRef> &order = scratch.order_;
-    order.resize(refs.size());
+    std::vector<NodeRef> order(refs.size());
     for (NodeRef ref : refs) {
         std::uint32_t k = level_start[slot[ref]]++;
         order[k] = ref;
         slot[ref] = k + 2;
     }
 
+    FrozenDiagram out;
     std::size_t n = order.size();
     out.var_.resize(n);
     out.low_.resize(n);
     out.high_.resize(n);
-    out.variableBound_ = 0;
     for (std::size_t k = 0; k < n; ++k) {
         const Node &node = nodes_[order[k]];
         out.var_[k] = node.var;
@@ -596,6 +494,30 @@ BddManager::freezeInto(NodeRef f, ProbabilityScratch &scratch,
             std::max<std::size_t>(out.variableBound_, node.var + 1u);
     }
     out.root_ = slot[f];
+    return out;
+}
+
+void
+FrozenDiagram::forward(std::span<const double> probs, double *value,
+                       double falseValue, double trueValue) const
+{
+    require(variableBound_ <= probs.size(),
+            "probability(): probs does not cover all BDD variables");
+
+    // Shannon decomposition, children before parents. This is the
+    // only place a probability is computed from a diagram. Keep the
+    // expression and its operand order: tests hold every result to
+    // 0 ulp against a reference evaluator that uses the same ones.
+    value[falseNode] = falseValue;
+    value[trueNode] = trueValue;
+    const std::uint32_t *var = var_.data();
+    const std::uint32_t *low = low_.data();
+    const std::uint32_t *high = high_.data();
+    const double *p_of = probs.data();
+    for (std::size_t k = 0, n = var_.size(); k < n; ++k) {
+        double p = p_of[var[k]];
+        value[k + 2] = p * value[high[k]] + (1.0 - p) * value[low[k]];
+    }
 }
 
 double
@@ -605,27 +527,38 @@ FrozenDiagram::probability(std::span<const double> probs,
     static obs::Counter &evals =
         obs::Registry::global().counter("bdd.prob_evals");
     evals.add();
-    require(variableBound_ <= probs.size(),
-            "probability(): probs does not cover all BDD variables");
-
-    // Shannon decomposition, children before parents. This is the
-    // only place a probability is computed from a diagram. Keep the
-    // expression and its operand order: tests hold every result to
-    // 0 ulp against a reference evaluator that uses the same ones.
     PageVector<double> &value = scratch.value_;
     value.resize(var_.size() + 2);
-    value[falseNode] = 0.0;
-    value[trueNode] = 1.0;
-    const std::uint32_t *var = var_.data();
-    const std::uint32_t *low = low_.data();
-    const std::uint32_t *high = high_.data();
-    double *v = value.data();
-    const double *p_of = probs.data();
-    for (std::size_t k = 0, n = var_.size(); k < n; ++k) {
-        double p = p_of[var[k]];
-        v[k + 2] = p * v[high[k]] + (1.0 - p) * v[low[k]];
+    forward(probs, value.data(), 0.0, 1.0);
+    return value[root_];
+}
+
+void
+FrozenDiagram::gradient(std::span<const double> probs,
+                        ProbabilityScratch &scratch,
+                        std::vector<double> &grad) const
+{
+    // The scratch holds the failure probabilities u in its first
+    // half and the adjoints in its second.
+    const std::size_t slots = var_.size() + 2;
+    PageVector<double> &value = scratch.value_;
+    value.resize(2 * slots);
+    double *u = value.data();
+    forward(probs, u, 1.0, 0.0);
+    double *adjoint = u + slots;
+    std::fill(adjoint, adjoint + slots, 0.0);
+    adjoint[root_] = 1.0;
+    grad.assign(probs.size(), 0.0);
+
+    // Parents before children: every parent sits at a higher slot, so
+    // a node's adjoint is complete when the loop reaches it.
+    for (std::size_t k = var_.size(); k-- > 0;) {
+        double a = adjoint[k + 2];
+        double p = probs[var_[k]];
+        grad[var_[k]] += a * (u[low_[k]] - u[high_[k]]);
+        adjoint[high_[k]] += a * p;
+        adjoint[low_[k]] += a * (1.0 - p);
     }
-    return v[root_];
 }
 
 bool
@@ -739,23 +672,6 @@ BddManager::collectGarbage()
     clearIteCache();
     gc_reclaimed_ += freed;
     return freed;
-}
-
-bool
-BddManager::maybeCollect()
-{
-    if (liveNodes() < gc_threshold_)
-        return false;
-    collectGarbage();
-    gc_threshold_ =
-        std::max<std::size_t>(kMinGcThreshold, liveNodes() * 2);
-    return true;
-}
-
-void
-BddManager::setGcThreshold(std::size_t live_nodes)
-{
-    gc_threshold_ = live_nodes;
 }
 
 void

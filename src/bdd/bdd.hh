@@ -17,19 +17,19 @@
  * it provides:
  *
  *  - mark-and-sweep garbage collection with explicit root
- *    registration (addRoot / removeRoot / ScopedRoot): intermediates
- *    from restrict()-heavy importance loops are reclaimed into a free
- *    list instead of accumulating forever;
+ *    registration (addRoot / removeRoot), run as the safe point that
+ *    opens every sifting pass;
  *  - optional sifting-based dynamic variable reordering
  *    (reorderSifting) that rewrites nodes in place, so NodeRefs held
  *    by callers stay valid and keep denoting the same function;
- *  - ITE-based apply with a lossy direct-mapped computed cache,
- *    threshold ("at least m of these functions") builders and
- *    cofactor restriction — all iterative, so deep chain diagrams
- *    cannot overflow the call stack;
+ *  - ITE-based apply with a lossy direct-mapped computed cache and
+ *    threshold ("at least m of these functions") builders — all
+ *    iterative, so deep chain diagrams cannot overflow the call
+ *    stack;
  *  - freeze(): export one root's reachable nodes as an immutable
- *    FrozenDiagram, the single place probabilities are evaluated
- *    (one forward pass; the manager can then be dropped).
+ *    FrozenDiagram, the single place probabilities and their
+ *    per-variable derivatives (Birnbaum importance) are evaluated;
+ *    the manager can then be dropped.
  *
  * Callers still control the initial variable order (group components
  * of a node/rack together for compact diagrams); reordering only runs
@@ -190,8 +190,8 @@ class ProbabilityScratch;
  *
  * The diagram owns its arrays and shares nothing with the manager
  * that froze it, so the manager can be destroyed once frozen. It is
- * immutable: one diagram can serve concurrent probability() calls
- * from many threads, each passing its own scratch.
+ * immutable: one diagram can serve concurrent probability() and
+ * gradient() calls from many threads, each passing its own scratch.
  */
 class FrozenDiagram
 {
@@ -210,11 +210,41 @@ class FrozenDiagram
     double probability(std::span<const double> probs,
                        ProbabilityScratch &scratch) const;
 
+    /**
+     * Partial derivative of probability() with respect to every
+     * variable's probability: grad[i] = dP/dp_i. P is multilinear in
+     * each p_i, so this is exactly the Birnbaum importance
+     * P(f | x_i = 1) - P(f | x_i = 0).
+     *
+     * One forward pass computes each node's probability of being
+     * false, u = P(!f); one reverse pass accumulates the probability
+     * of reaching each node from the root (the adjoint) and adds
+     * adjoint * (u[low] - u[high]) into the node's variable. Both
+     * terms of that difference are small when the function is
+     * nearly always true, so it loses no digits to cancellation the
+     * way P(f | x=1) - P(f | x=0) does.
+     *
+     * @param probs As for probability().
+     * @param scratch Per-thread value buffer, reused across calls.
+     * @param grad Resized to probs.size(); entries for variables
+     *             absent from the diagram are exactly 0.
+     */
+    void gradient(std::span<const double> probs,
+                  ProbabilityScratch &scratch,
+                  std::vector<double> &grad) const;
+
     /** Number of (non-terminal) nodes in the diagram. */
     std::size_t nodeCount() const { return var_.size(); }
 
   private:
     friend class BddManager;
+
+    /**
+     * The Shannon pass: fills value[0 .. nodeCount() + 2) children
+     * before parents, with the terminals' values as given.
+     */
+    void forward(std::span<const double> probs, double *value,
+                 double falseValue, double trueValue) const;
 
     // Node k's variable and the value slots of its children.
     std::vector<std::uint32_t> var_;
@@ -229,22 +259,20 @@ class FrozenDiagram
 };
 
 /**
- * Caller-owned workspace for probability evaluation.
+ * Caller-owned value buffer for FrozenDiagram evaluation.
  *
- * FrozenDiagram::probability() needs one value per node, and
- * BddManager::probability() first freezes its root, which needs a
- * ref-to-slot map sized to the arena and per-node work lists. A sweep
- * evaluating thousands of points would otherwise pay fresh
- * allocations per point; holding one scratch per thread (the scratch
- * is NOT thread-safe, the diagram and the manager's evaluation are)
- * makes repeated evaluation allocation-free after the first call.
+ * probability() needs one value per node and gradient() two. A sweep
+ * evaluating thousands of points would otherwise pay a fresh
+ * allocation per point; holding one scratch per thread (the scratch
+ * is NOT thread-safe, the diagram is) makes repeated evaluation
+ * allocation-free after the first call.
  */
 class ProbabilityScratch
 {
   public:
     ProbabilityScratch() = default;
 
-    /** Release the held buffers. */
+    /** Release the held buffer. */
     void
     clear()
     {
@@ -252,55 +280,11 @@ class ProbabilityScratch
     }
 
   private:
-    friend class BddManager;
     friend class FrozenDiagram;
 
     // PageVector: eval reads this in data-dependent order, so its
     // page placement must not depend on prior heap churn.
     PageVector<double> value_;
-
-    // BddManager::probability() only: the diagram it freezes into;
-    // the arena ref -> value slot map, all-unvisited between calls
-    // except for the refs listed in frozen_refs_ (the nodes frozen
-    // last call); the per-level counts; and the numbering order.
-    FrozenDiagram diagram_;
-    std::vector<std::uint32_t> slot_;
-    std::vector<NodeRef> frozen_refs_;
-    std::vector<std::uint32_t> level_start_;
-    std::vector<NodeRef> order_;
-};
-
-/**
- * Caller-owned workspace for BddManager::restrict().
- *
- * Restriction needs a per-node memo and a traversal stack. The
- * Birnbaum/criticality importance loops call restrict() twice per
- * component; a caller-owned scratch makes every call after the first
- * allocation-free, mirroring ProbabilityScratch.
- */
-class RestrictScratch
-{
-  public:
-    RestrictScratch() = default;
-
-    /** Release the held buffers. */
-    void
-    clear()
-    {
-        result_.clear();
-        result_.shrink_to_fit();
-        known_.clear();
-        known_.shrink_to_fit();
-        stack_.clear();
-        stack_.shrink_to_fit();
-    }
-
-  private:
-    friend class BddManager;
-
-    std::vector<NodeRef> result_;
-    std::vector<std::uint8_t> known_;
-    std::vector<NodeRef> stack_;
 };
 
 /** Tuning knobs for sifting-based dynamic variable reordering. */
@@ -369,44 +353,11 @@ class BddManager
      */
     NodeRef atLeast(std::span<const NodeRef> fs, unsigned m);
 
-    /** Cofactor: f with variable `index` fixed to `value`. */
-    NodeRef restrict(NodeRef f, unsigned index, bool value);
-
     /**
-     * As restrict(), reusing a caller-owned scratch so repeated
-     * restriction (importance loops) allocates nothing after the
-     * first call.
-     */
-    NodeRef restrict(NodeRef f, unsigned index, bool value,
-                     RestrictScratch &scratch);
-
-    /**
-     * Probability that the function is true when each variable i is
-     * independently true with probability probs[i].
-     *
-     * Evaluation is read-only: a const manager can serve concurrent
-     * probability() calls from many threads (each thread passing its
-     * own scratch), which is what the parallel sweep engine does.
-     *
-     * @param f The function to evaluate.
-     * @param probs Per-variable probabilities; must cover every
-     *              variable appearing in f.
-     */
-    double probability(NodeRef f, std::span<const double> probs) const;
-
-    /**
-     * As probability(), reusing a caller-owned scratch so repeated
-     * evaluation (sweeps) allocates nothing after the first call.
-     * Freezes f into the scratch, then evaluates the frozen copy.
-     */
-    double probability(NodeRef f, std::span<const double> probs,
-                       ProbabilityScratch &scratch) const;
-
-    /**
-     * Export the nodes reachable from f as an immutable diagram that
-     * evaluates to the same value, bit for bit, as probability(f, ...).
-     * Cost: a breadth-first pass over the reachable nodes, a counting
-     * sort of them by level, and a ref-to-slot map sized to the arena.
+     * Export the nodes reachable from f as an immutable diagram, the
+     * one evaluator of f's probability. Cost: a breadth-first pass
+     * over the reachable nodes, a counting sort of them by level, and
+     * a ref-to-slot map sized to the arena.
      */
     FrozenDiagram freeze(NodeRef f) const;
 
@@ -465,22 +416,6 @@ class BddManager
      * @return The number of nodes reclaimed.
      */
     std::size_t collectGarbage();
-
-    /**
-     * Collect if the live node count has crossed the adaptive GC
-     * threshold (collection resets the threshold to twice the
-     * surviving live size). Call at safe points inside loops that
-     * generate garbage, e.g. once per component in importance loops.
-     *
-     * @return True if a collection ran.
-     */
-    bool maybeCollect();
-
-    /** Live-node count that triggers the next maybeCollect(). */
-    std::size_t gcThreshold() const { return gc_threshold_; }
-
-    /** Override the maybeCollect() trigger (also resets adaptation). */
-    void setGcThreshold(std::size_t live_nodes);
 
     /**
      * Sifting-based dynamic variable reordering (Rudell): each
@@ -630,10 +565,6 @@ class BddManager
 
     bool isTerminal(NodeRef f) const { return f <= trueNode; }
 
-    /** Freeze f into `out`, using the scratch's map and stack. */
-    void freezeInto(NodeRef f, ProbabilityScratch &scratch,
-                    FrozenDiagram &out) const;
-
     // PageVector: the arena is the eval/apply hot path's working
     // set; fresh pages keep its layout independent of heap history.
     PageVector<Node> nodes_;
@@ -663,7 +594,6 @@ class BddManager
     bool sifting_ = false;
 
     unsigned variable_count_ = 0;
-    std::size_t gc_threshold_ = kDefaultGcThreshold;
     std::size_t peak_live_ = 2;
 
     /** Armed build budget; checked only while budget_armed_. */
@@ -684,38 +614,9 @@ class BddManager
     /** ite() loop iterations between wall-deadline checks. */
     static constexpr std::uint32_t kBudgetCheckInterval = 1024;
 
-    static constexpr std::size_t kDefaultGcThreshold = 1u << 15;
-    static constexpr std::size_t kMinGcThreshold = 1u << 12;
     static constexpr std::size_t kInitialIteCache = 1u << 10;
     static constexpr std::size_t kMaxIteCache = 1u << 22;
     static constexpr std::size_t kInitialBuckets = 16;
-};
-
-/**
- * RAII root registration: keeps `f` (and everything it reaches)
- * alive across GC/reorder safe points within a scope.
- */
-class ScopedRoot
-{
-  public:
-    ScopedRoot(BddManager &manager, NodeRef f)
-        : manager_(&manager), ref_(f)
-    {
-        manager_->addRoot(ref_);
-    }
-
-    ~ScopedRoot()
-    {
-        if (manager_ != nullptr)
-            manager_->removeRoot(ref_);
-    }
-
-    ScopedRoot(const ScopedRoot &) = delete;
-    ScopedRoot &operator=(const ScopedRoot &) = delete;
-
-  private:
-    BddManager *manager_;
-    NodeRef ref_;
 };
 
 } // namespace sdnav::bdd

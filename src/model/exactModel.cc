@@ -269,21 +269,6 @@ buildWithClasses(const fmea::ControllerCatalog &catalog,
                             &classes, order);
 }
 
-/**
- * Compile the structure function and keep only its frozen root: the
- * manager is a build-time structure, released on return.
- */
-bdd::FrozenDiagram
-compileFrozen(const rbd::RbdSystem &system,
-              const ExactPlaneModel::Options &options)
-{
-    rbd::CompiledRbd compiled(
-        system, rbd::CompiledRbd::Options{options.reorderBdd,
-                                          options.reorderOptions,
-                                          options.budget});
-    return compiled.manager().freeze(compiled.root());
-}
-
 } // anonymous namespace
 
 ExactPlaneModel::ExactPlaneModel(const fmea::ControllerCatalog &catalog,
@@ -292,7 +277,11 @@ ExactPlaneModel::ExactPlaneModel(const fmea::ControllerCatalog &catalog,
                                  const Options &options)
     : system_(buildWithClasses(catalog, topo, policy, plane,
                                options.order, classes_)),
-      diagram_(compileFrozen(system_, options))
+      diagram_(rbd::compileFrozen(system_,
+                                  {options.reorderBdd,
+                                   options.reorderOptions,
+                                   options.budget})
+                   .diagram)
 {
 }
 

@@ -144,7 +144,7 @@ class ExactPlaneModel
 
         /**
          * Compile budget (wall deadline / live-node cap) forwarded to
-         * the underlying CompiledRbd build; exceeding it throws
+         * rbd::compileFrozen(); exceeding it throws
          * bdd::BudgetExceeded out of the constructor. Defaults to
          * unlimited.
          */

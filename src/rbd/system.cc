@@ -194,9 +194,9 @@ RbdSystem::compile(bdd::BddManager &manager) const
 double
 RbdSystem::availabilityExact() const
 {
-    bdd::BddManager manager;
-    bdd::NodeRef f = compile(manager);
-    return manager.probability(f, availabilities_);
+    bdd::ProbabilityScratch scratch;
+    return compileFrozen(*this).diagram.probability(availabilities_,
+                                                    scratch);
 }
 
 MonteCarloResult
@@ -223,148 +223,120 @@ RbdSystem::availabilityMonteCarlo(std::size_t samples,
     return result;
 }
 
+FrozenRbd
+compileFrozen(const RbdSystem &system, const CompileOptions &options)
+{
+    bdd::BddManager manager;
+    // Arm the budget before the build so its clock covers the whole
+    // compile, reorder pass included.
+    if (options.budget.limited())
+        manager.setStepBudget(options.budget);
+    bdd::NodeRef root;
+    {
+        obs::TraceSpan trace_span("bdd.compile");
+        root = system.compile(manager);
+    }
+    if (options.reorder) {
+        // Sifting collects first; the root must survive it.
+        manager.addRoot(root);
+        manager.reorderSifting(options.reorderOptions);
+    }
+    manager.clearStepBudget();
+    // The build phase is over: the cache/table stats are final.
+    manager.recordMetrics();
+    return {manager.freeze(root), manager.stats()};
+}
+
 namespace
 {
 
-/** Wraps the build-once phase of a CompiledRbd in a trace span. */
-bdd::NodeRef
-compileTraced(const RbdSystem &system, bdd::BddManager &manager)
+/**
+ * Every component's Birnbaum importance, into birnbaum, from one
+ * compile; returns the system unavailability.
+ */
+double
+birnbaumAndUnavailability(const RbdSystem &system,
+                          const CompileOptions &options,
+                          std::vector<double> &birnbaum)
 {
-    obs::TraceSpan trace_span("bdd.compile");
-    return system.compile(manager);
+    bdd::FrozenDiagram diagram = compileFrozen(system, options).diagram;
+    bdd::ProbabilityScratch scratch;
+    diagram.gradient(system.availabilities(), scratch, birnbaum);
+    return 1.0 - diagram.probability(system.availabilities(), scratch);
 }
 
-/**
- * Arms the manager's step budget (when limited) before the build so
- * the clock covers the whole compile, then compiles. The budget stays
- * armed for the constructor body (reorder pass); the constructor
- * disarms it before handing the object out, since evaluation must
- * never be interrupted.
- */
-bdd::NodeRef
-compileBudgeted(const RbdSystem &system, bdd::BddManager &manager,
-                const CompiledRbd::Options &options)
+/** Criticality importance from a Birnbaum importance. */
+double
+criticality(double birnbaum, double availability,
+            double system_unavailability)
 {
-    if (options.budget.limited())
-        manager.setStepBudget(options.budget);
-    return compileTraced(system, manager);
+    return system_unavailability > 0.0
+        ? birnbaum * (1.0 - availability) / system_unavailability
+        : 0.0;
 }
 
 } // anonymous namespace
-
-CompiledRbd::CompiledRbd(const RbdSystem &system,
-                         const Options &options)
-    : root_(compileBudgeted(system, manager_, options))
-{
-    // The compiled root is the one ref this object hands out, so it
-    // (and everything it reaches) is pinned for the manager's
-    // lifetime; any later GC or reorder safe point keeps it valid.
-    manager_.addRoot(root_);
-    if (options.reorder)
-        manager_.reorderSifting(options.reorderOptions);
-    // The build phase is over; evaluation never grows the manager and
-    // must never be interrupted, so disarm the compile budget here.
-    manager_.clearStepBudget();
-    // This is also the moment the cache/table stats are final.
-    manager_.recordMetrics();
-}
-
-double
-CompiledRbd::probability(std::span<const double> availabilities) const
-{
-    return manager_.probability(root_, availabilities);
-}
-
-double
-CompiledRbd::probability(std::span<const double> availabilities,
-                         bdd::ProbabilityScratch &scratch) const
-{
-    return manager_.probability(root_, availabilities, scratch);
-}
-
-std::size_t
-CompiledRbd::nodeCount() const
-{
-    return manager_.nodeCount(root_);
-}
 
 double
 RbdSystem::birnbaumImportance(ComponentId id) const
 {
     checkComponent(id);
-    bdd::BddManager manager;
-    bdd::NodeRef f = compile(manager);
-    unsigned var = static_cast<unsigned>(id);
-    bdd::RestrictScratch restrict_scratch;
-    bdd::ProbabilityScratch prob_scratch;
-    double with_up =
-        manager.probability(manager.restrict(f, var, true,
-                                             restrict_scratch),
-                            availabilities_, prob_scratch);
-    double with_down =
-        manager.probability(manager.restrict(f, var, false,
-                                             restrict_scratch),
-                            availabilities_, prob_scratch);
-    return with_up - with_down;
+    std::vector<double> birnbaum;
+    birnbaumAndUnavailability(*this, {}, birnbaum);
+    return birnbaum[id];
 }
 
 double
 RbdSystem::criticalityImportance(ComponentId id) const
 {
     checkComponent(id);
-    double system_unavailability = 1.0 - availabilityExact();
-    if (system_unavailability <= 0.0)
-        return 0.0;
-    double birnbaum = birnbaumImportance(id);
-    return birnbaum * (1.0 - availabilities_[id]) / system_unavailability;
+    std::vector<double> birnbaum;
+    double system_unavailability =
+        birnbaumAndUnavailability(*this, {}, birnbaum);
+    return criticality(birnbaum[id], availabilities_[id],
+                       system_unavailability);
 }
 
 std::vector<ImportanceEntry>
 RbdSystem::rankImportance(const ImportanceOptions &options) const
 {
-    // Compile once and reuse for all components. The root is pinned
-    // so the per-component restrict intermediates — and nothing else
-    // — are what the collections below reclaim.
-    bdd::BddManager manager;
-    bdd::NodeRef f = compile(manager);
-    bdd::ScopedRoot root(manager, f);
-    if (options.reorder)
-        manager.reorderSifting(options.reorderOptions);
-    bdd::ProbabilityScratch prob_scratch;
-    bdd::RestrictScratch restrict_scratch;
-    double availability =
-        manager.probability(f, availabilities_, prob_scratch);
-    double system_unavailability = 1.0 - availability;
+    CompileOptions compile_options;
+    compile_options.reorder = options.reorder;
+    compile_options.reorderOptions = options.reorderOptions;
+    std::vector<double> birnbaum;
+    double system_unavailability =
+        birnbaumAndUnavailability(*this, compile_options, birnbaum);
 
     std::vector<ImportanceEntry> entries;
     entries.reserve(availabilities_.size());
     for (ComponentId id = 0; id < availabilities_.size(); ++id) {
-        unsigned var = static_cast<unsigned>(id);
-        double up = manager.probability(
-            manager.restrict(f, var, true, restrict_scratch),
-            availabilities_, prob_scratch);
-        double down = manager.probability(
-            manager.restrict(f, var, false, restrict_scratch),
-            availabilities_, prob_scratch);
-        double birnbaum = up - down;
-        double criticality = system_unavailability > 0.0
-            ? birnbaum * (1.0 - availabilities_[id]) / system_unavailability
-            : 0.0;
-        entries.push_back({id, names_[id], birnbaum, criticality});
-        // Safe point: the cofactors above are dead, only f is live.
-        manager.maybeCollect();
+        entries.push_back({id, names_[id], birnbaum[id],
+                           criticality(birnbaum[id], availabilities_[id],
+                                       system_unavailability)});
     }
-    // One final collection so every ranking publishes its reclaim
-    // stats (and a "bdd.gc" span) even when the diagram stayed small.
-    manager.collectGarbage();
-    // Tie-break on id so exactly-tied (symmetric) components rank in
-    // a stable order regardless of evaluation order.
     std::sort(entries.begin(), entries.end(),
               [](const ImportanceEntry &a, const ImportanceEntry &b) {
-                  if (a.criticality != b.criticality)
-                      return a.criticality > b.criticality;
-                  return a.component < b.component;
+                  return a.criticality > b.criticality;
               });
+    // Symmetric components tie in exact arithmetic, but the diagram
+    // sums their paths in different orders, which splits them by a
+    // few ulps. Rank each run of values within 1e-10 relative of its
+    // first entry in id order. Anchoring the window on the run's first
+    // entry, not on neighbours, keeps the result a strict ordering.
+    constexpr double kTieTolerance = 1e-10;
+    for (auto run = entries.begin(); run != entries.end();) {
+        const double top = run->criticality;
+        auto end = std::find_if(run, entries.end(),
+                                [top](const ImportanceEntry &e) {
+                                    return top - e.criticality >
+                                           kTieTolerance * top;
+                                });
+        std::sort(run, end,
+                  [](const ImportanceEntry &a, const ImportanceEntry &b) {
+                      return a.component < b.component;
+                  });
+        run = end;
+    }
     return entries;
 }
 

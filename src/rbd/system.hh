@@ -45,10 +45,11 @@ struct MonteCarloResult
 struct ImportanceOptions
 {
     /**
-     * Run a sifting reorder pass on the compiled diagram before the
-     * per-component restrict loop. Off by default: reordering changes
-     * diagram shape (never values), and the paper-scale topologies
-     * compile compactly under the natural component order.
+     * Run a sifting reorder pass on the compiled diagram before it is
+     * frozen and differentiated. Off by default: reordering changes
+     * diagram shape and summation order (values agree to rounding),
+     * and the paper-scale topologies compile compactly under the
+     * natural component order.
      */
     bool reorder = false;
 
@@ -157,7 +158,11 @@ class RbdSystem
      */
     double criticalityImportance(ComponentId id) const;
 
-    /** All components ranked by descending criticality importance. */
+    /**
+     * All components ranked by descending criticality importance.
+     * Components whose criticalities agree to 1e-10 relative (the
+     * symmetric ones, split only by rounding) rank in id order.
+     */
     std::vector<ImportanceEntry>
     rankImportance(const ImportanceOptions &options = {}) const;
 
@@ -185,76 +190,47 @@ class RbdSystem
     std::optional<Block> root_;
 };
 
-/**
- * A structure function compiled to a BDD once, for repeated
- * probability evaluation with varying per-component availabilities.
- *
- * availabilityExact() rebuilds the diagram on every call, which is
- * the dominant cost of sweep loops: the structure function depends
- * only on the topology, not on the availabilities. Compile once,
- * then evaluate per sweep point.
- *
- * Evaluation is const and touches no manager state, so one compiled
- * system can serve read-only evaluation from many threads
- * concurrently (give each thread its own ProbabilityScratch).
- */
-class CompiledRbd
+/** Build-time knobs for compileFrozen(). */
+struct CompileOptions
 {
-  public:
-    /** Build-time knobs for a compiled structure function. */
-    struct Options
-    {
-        /** Sift the diagram after compilation (values unchanged). */
-        bool reorder = false;
+    /** Sift the diagram after compilation (values unchanged). */
+    bool reorder = false;
 
-        /** Tuning for the reorder pass when enabled. */
-        bdd::ReorderOptions reorderOptions{};
-
-        /**
-         * Compile budget (wall deadline / live-node cap); enforced
-         * across the whole build including the optional reorder
-         * pass. Exceeding it throws bdd::BudgetExceeded out of the
-         * constructor. Zeroed fields (the default) are unlimited.
-         */
-        bdd::StepBudget budget{};
-    };
-
-    /** Compile the system's structure function. */
-    explicit CompiledRbd(const RbdSystem &system)
-        : CompiledRbd(system, Options())
-    {
-    }
-
-    /** Compile with explicit build-time knobs. */
-    CompiledRbd(const RbdSystem &system, const Options &options);
+    /** Tuning for the reorder pass when enabled. */
+    bdd::ReorderOptions reorderOptions{};
 
     /**
-     * Probability that the system is up under the given
-     * per-component availabilities (indexed by ComponentId; must
-     * cover every component in the structure function).
+     * Compile budget (wall deadline / live-node cap); enforced across
+     * the whole build including the optional reorder pass. Exceeding
+     * it throws bdd::BudgetExceeded. Zeroed fields (the default) are
+     * unlimited.
      */
-    double probability(std::span<const double> availabilities) const;
-
-    /** As probability(), reusing a caller-owned scratch buffer. */
-    double probability(std::span<const double> availabilities,
-                       bdd::ProbabilityScratch &scratch) const;
-
-    /** Nodes reachable from the root (diagram size). */
-    std::size_t nodeCount() const;
-
-    /** Total nodes allocated in the manager (growth diagnostics). */
-    std::size_t totalNodes() const { return manager_.totalNodes(); }
-
-    /** The compiled root function. */
-    bdd::NodeRef root() const { return root_; }
-
-    /** The owning manager (read-only evaluation entry points). */
-    const bdd::BddManager &manager() const { return manager_; }
-
-  private:
-    bdd::BddManager manager_;
-    bdd::NodeRef root_;
+    bdd::StepBudget budget{};
 };
+
+/** A compiled structure function and the cost of compiling it. */
+struct FrozenRbd
+{
+    /** The root's reachable nodes; component i is variable i. */
+    bdd::FrozenDiagram diagram;
+
+    /** The build manager's final statistics (peak nodes included). */
+    bdd::BddStats stats;
+};
+
+/**
+ * Compile a system's structure function and freeze its root, for
+ * repeated evaluation with varying per-component availabilities.
+ *
+ * The structure function depends only on the topology, not on the
+ * availabilities, so sweeps compile once and evaluate per point. The
+ * build manager (arena, unique tables, ITE cache) is released on
+ * return, after publishing its stats to the obs registry. The diagram
+ * is immutable: it can serve evaluation from many threads at once,
+ * each passing its own bdd::ProbabilityScratch.
+ */
+FrozenRbd compileFrozen(const RbdSystem &system,
+                        const CompileOptions &options = {});
 
 } // namespace sdnav::rbd
 

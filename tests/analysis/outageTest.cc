@@ -14,6 +14,7 @@
 #include "fmea/openContrail.hh"
 #include "model/exactModel.hh"
 #include "sim/renewalSim.hh"
+#include "support/referenceProbability.hh"
 
 namespace
 {
@@ -85,6 +86,29 @@ TEST(Outage, FrequencyDurationIdentityHolds)
     EXPECT_NEAR(profile.meanOutageHours() * profile.outagesPerHour,
                 1.0 - profile.availability, 1e-12);
     EXPECT_GT(profile.outagesPerYear(), 0.0);
+}
+
+TEST(Outage, FrequencyMatchesReferenceGradient)
+{
+    // nu = sum_i I_B(i) a_i / MTBF_i, with every Birnbaum importance
+    // from the long double conditioning reference.
+    auto catalog = fmea::openContrail3();
+    auto system = model::buildExactSystem(
+        catalog, topology::largeTopology(),
+        model::SupervisorPolicy::Required, model::SwParams{},
+        fmea::Plane::ControlPlane);
+    std::vector<double> mtbfs = classifyMtbfs(system);
+    bdd::BddManager manager;
+    bdd::NodeRef root = system.compile(manager);
+    const std::vector<double> &probs = system.availabilities();
+    std::vector<long double> birnbaum =
+        test::referenceGradient(manager, root, probs);
+    long double nu = 0.0L;
+    for (std::size_t i = 0; i < probs.size(); ++i)
+        nu += birnbaum[i] * probs[i] / mtbfs[i];
+    double expected = static_cast<double>(nu);
+    EXPECT_NEAR(outageProfile(system, mtbfs).outagesPerHour, expected,
+                1e-10 * expected);
 }
 
 TEST(Outage, SimulationConfirmsFrequencyAndDuration)

@@ -21,6 +21,7 @@ namespace
 {
 
 using namespace sdnav::bdd;
+using sdnav::test::referenceGradient;
 using sdnav::test::referenceProbability;
 
 /** 0-ulp equality: the same bit pattern, not just the same value. */
@@ -32,22 +33,38 @@ expectSameBits(double actual, double expected)
         << actual << " vs " << expected;
 }
 
+/** P(f) through a frozen copy, the one evaluation route. */
+double
+frozenProbability(const BddManager &m, NodeRef f,
+                  const std::vector<double> &probs)
+{
+    ProbabilityScratch scratch;
+    return m.freeze(f).probability(probs, scratch);
+}
+
 /**
- * Every evaluation route — the manager with and without a scratch,
- * and a frozen copy — must match the reference bit for bit, and the
- * frozen copy must hold exactly the reachable nodes.
+ * A frozen copy must hold exactly the reachable nodes, match the
+ * reference probability bit for bit, and match the reference
+ * gradient. The gradient tolerance is absolute: these functions are
+ * not monotone, so a derivative can be a near-cancelling sum.
  */
 void
-expectAllRoutesMatchReference(const BddManager &m, NodeRef f,
-                              const std::vector<double> &probs,
-                              ProbabilityScratch &scratch)
+expectFrozenMatchesReference(const BddManager &m, NodeRef f,
+                             const std::vector<double> &probs,
+                             ProbabilityScratch &scratch)
 {
-    double expected = referenceProbability(m, f, probs);
-    expectSameBits(m.probability(f, probs), expected);
-    expectSameBits(m.probability(f, probs, scratch), expected);
     FrozenDiagram frozen = m.freeze(f);
     EXPECT_EQ(frozen.nodeCount(), m.nodeCount(f));
-    expectSameBits(frozen.probability(probs, scratch), expected);
+    expectSameBits(frozen.probability(probs, scratch),
+                   referenceProbability(m, f, probs));
+    std::vector<double> grad;
+    frozen.gradient(probs, scratch, grad);
+    std::vector<long double> expected = referenceGradient(m, f, probs);
+    ASSERT_EQ(grad.size(), expected.size());
+    for (std::size_t i = 0; i < grad.size(); ++i) {
+        EXPECT_NEAR(grad[i], static_cast<double>(expected[i]), 1e-12)
+            << "variable " << i;
+    }
 }
 
 /** True if some node reachable from f has a child in a higher arena
@@ -173,8 +190,8 @@ TEST(Bdd, ProbabilityOfSingleVariable)
     BddManager m;
     NodeRef x = m.var(0);
     std::vector<double> probs{0.3};
-    EXPECT_NEAR(m.probability(x, probs), 0.3, 1e-15);
-    EXPECT_NEAR(m.probability(m.notOp(x), probs), 0.7, 1e-15);
+    EXPECT_NEAR(frozenProbability(m, x, probs), 0.3, 1e-15);
+    EXPECT_NEAR(frozenProbability(m, m.notOp(x), probs), 0.7, 1e-15);
 }
 
 TEST(Bdd, ProbabilityOfIndependentAndOr)
@@ -183,8 +200,45 @@ TEST(Bdd, ProbabilityOfIndependentAndOr)
     NodeRef f_and = m.andOp(m.var(0), m.var(1));
     NodeRef f_or = m.orOp(m.var(0), m.var(1));
     std::vector<double> probs{0.9, 0.8};
-    EXPECT_NEAR(m.probability(f_and, probs), 0.72, 1e-15);
-    EXPECT_NEAR(m.probability(f_or, probs), 0.98, 1e-15);
+    EXPECT_NEAR(frozenProbability(m, f_and, probs), 0.72, 1e-15);
+    EXPECT_NEAR(frozenProbability(m, f_or, probs), 0.98, 1e-15);
+}
+
+TEST(Bdd, GradientIsBirnbaumImportance)
+{
+    // d(p0 p1)/dp0 = p1; d(1 - (1 - p0)(1 - p1))/dp0 = 1 - p1.
+    BddManager m;
+    std::vector<double> probs{0.9, 0.8};
+    ProbabilityScratch scratch;
+    std::vector<double> grad;
+    m.freeze(m.andOp(m.var(0), m.var(1))).gradient(probs, scratch, grad);
+    ASSERT_EQ(grad.size(), 2u);
+    EXPECT_NEAR(grad[0], 0.8, 1e-15);
+    EXPECT_NEAR(grad[1], 0.9, 1e-15);
+    m.freeze(m.orOp(m.var(0), m.var(1))).gradient(probs, scratch, grad);
+    EXPECT_NEAR(grad[0], 0.2, 1e-15);
+    EXPECT_NEAR(grad[1], 0.1, 1e-15);
+    // A negated literal has a negative derivative.
+    m.freeze(m.nvar(1)).gradient(probs, scratch, grad);
+    EXPECT_EQ(grad[0], 0.0);
+    EXPECT_EQ(grad[1], -1.0);
+}
+
+TEST(Bdd, GradientOfAbsentVariablesIsExactlyZero)
+{
+    BddManager m;
+    NodeRef f = m.xorOp(m.var(0), m.var(2));
+    // probs may run past the diagram's variables; the gradient covers
+    // all of them.
+    std::vector<double> probs{0.3, 0.4, 0.6, 0.7};
+    ProbabilityScratch scratch;
+    std::vector<double> grad{5.0};
+    m.freeze(f).gradient(probs, scratch, grad);
+    ASSERT_EQ(grad.size(), 4u);
+    EXPECT_EQ(grad[1], 0.0);
+    EXPECT_EQ(grad[3], 0.0);
+    EXPECT_NEAR(grad[0], 1.0 - 2.0 * 0.6, 1e-15);
+    EXPECT_NEAR(grad[2], 1.0 - 2.0 * 0.3, 1e-15);
 }
 
 TEST(Bdd, ProbabilityHandlesSharedVariables)
@@ -196,7 +250,7 @@ TEST(Bdd, ProbabilityHandlesSharedVariables)
                        m.andOp(m.var(0), m.var(2)));
     std::vector<double> p{0.5, 0.6, 0.7};
     double expected = 0.5 * (0.6 + 0.7 - 0.42);
-    EXPECT_NEAR(m.probability(f, p), expected, 1e-15);
+    EXPECT_NEAR(frozenProbability(m, f, p), expected, 1e-15);
 }
 
 TEST(Bdd, ProbabilityRejectsShortVector)
@@ -204,12 +258,13 @@ TEST(Bdd, ProbabilityRejectsShortVector)
     BddManager m;
     NodeRef f = m.var(5);
     std::vector<double> p{0.5};
-    EXPECT_THROW(m.probability(f, p), sdnav::ModelError);
     ProbabilityScratch scratch;
-    EXPECT_THROW(m.probability(f, p, scratch), sdnav::ModelError);
     EXPECT_THROW(m.freeze(f).probability(p, scratch), sdnav::ModelError);
+    std::vector<double> grad;
+    EXPECT_THROW(m.freeze(f).gradient(p, scratch, grad),
+                 sdnav::ModelError);
     // The rejected calls leave the scratch usable.
-    expectSameBits(m.probability(m.var(0), p, scratch), 0.5);
+    expectSameBits(m.freeze(m.var(0)).probability(p, scratch), 0.5);
 }
 
 TEST(Bdd, FrozenConstantsNeedNoProbabilities)
@@ -221,9 +276,16 @@ TEST(Bdd, FrozenConstantsNeedNoProbabilities)
     EXPECT_EQ(m.freeze(falseNode).nodeCount(), 0u);
     expectSameBits(m.freeze(trueNode).probability(none, scratch), 1.0);
     expectSameBits(m.freeze(falseNode).probability(none, scratch), 0.0);
-    expectSameBits(m.probability(trueNode, none), 1.0);
-    expectSameBits(m.probability(falseNode, none, scratch), 0.0);
     expectSameBits(FrozenDiagram().probability(none, scratch), 0.0);
+    // A constant does not depend on any variable.
+    std::vector<double> probs{0.3, 0.6};
+    std::vector<double> grad;
+    for (NodeRef constant : {trueNode, falseNode}) {
+        m.freeze(constant).gradient(probs, scratch, grad);
+        EXPECT_EQ(grad, std::vector<double>(2, 0.0));
+    }
+    FrozenDiagram().gradient(none, scratch, grad);
+    EXPECT_TRUE(grad.empty());
 }
 
 TEST(Bdd, FrozenDiagramOutlivesItsManager)
@@ -265,7 +327,7 @@ TEST(Bdd, FrozenEvaluationIgnoresArenaOrder)
     for (unsigned i = 0; i < 12; ++i)
         probs.push_back(0.5 + 0.04 * i);
     ProbabilityScratch scratch;
-    expectAllRoutesMatchReference(m, f, probs, scratch);
+    expectFrozenMatchesReference(m, f, probs, scratch);
 }
 
 TEST(Bdd, ScratchEvaluationMatchesPlainEvaluation)
@@ -275,7 +337,8 @@ TEST(Bdd, ScratchEvaluationMatchesPlainEvaluation)
                        m.andOp(m.var(1), m.notOp(m.var(2))));
     std::vector<double> p{0.2, 0.6, 0.9};
     ProbabilityScratch scratch;
-    EXPECT_EQ(m.probability(f, p, scratch), m.probability(f, p));
+    EXPECT_EQ(m.freeze(f).probability(p, scratch),
+              referenceProbability(m, f, p));
 }
 
 TEST(Bdd, ScratchIsReusableAcrossFunctionsAndManagers)
@@ -284,19 +347,27 @@ TEST(Bdd, ScratchIsReusableAcrossFunctionsAndManagers)
     BddManager m;
     std::vector<NodeRef> vars{m.var(0), m.var(1), m.var(2)};
     std::vector<double> p{0.9, 0.8, 0.7};
-    // Interleave different functions through one scratch; each call
-    // must be independent of what the scratch held before.
+    // Interleave different functions, and gradients (which use twice
+    // the buffer), through one scratch; each call must be independent
+    // of what the scratch held before.
+    std::vector<double> grad;
     for (unsigned k = 0; k <= 3; ++k) {
         NodeRef f = m.atLeast(vars, k);
-        EXPECT_EQ(m.probability(f, p, scratch), m.probability(f, p))
+        FrozenDiagram frozen = m.freeze(f);
+        EXPECT_EQ(frozen.probability(p, scratch),
+                  referenceProbability(m, f, p))
+            << "k=" << k;
+        frozen.gradient(p, scratch, grad);
+        EXPECT_EQ(frozen.probability(p, scratch),
+                  referenceProbability(m, f, p))
             << "k=" << k;
     }
     scratch.clear();
     BddManager other;
     NodeRef g = other.xorOp(other.var(0), other.var(1));
     std::vector<double> q{0.25, 0.5};
-    EXPECT_EQ(other.probability(g, q, scratch),
-              other.probability(g, q));
+    EXPECT_EQ(other.freeze(g).probability(q, scratch),
+              referenceProbability(other, g, q));
 }
 
 TEST(Bdd, ScratchEvaluationDoesNotGrowManager)
@@ -310,7 +381,7 @@ TEST(Bdd, ScratchEvaluationDoesNotGrowManager)
     ProbabilityScratch scratch;
     std::vector<double> p(12, 0.75);
     for (int rep = 0; rep < 100; ++rep)
-        m.probability(f, p, scratch);
+        m.freeze(f).probability(p, scratch);
     EXPECT_EQ(m.totalNodes(), nodes);
 }
 
@@ -327,7 +398,7 @@ TEST(Bdd, AtLeastMatchesBinomialTail)
         double expected =
             k > n ? 0.0
                   : sdnav::prob::binomialTailAtLeast(n, k, 0.85);
-        EXPECT_NEAR(m.probability(f, probs), expected, 1e-12)
+        EXPECT_NEAR(frozenProbability(m, f, probs), expected, 1e-12)
             << "k=" << k;
     }
 }
@@ -350,16 +421,6 @@ TEST(Bdd, AtLeastOverFunctionsNotJustVariables)
     EXPECT_EQ(f, m.orOp(m.notOp(m.var(0)), m.var(1)));
 }
 
-TEST(Bdd, RestrictFixesVariables)
-{
-    BddManager m;
-    NodeRef f = m.ite(m.var(0), m.var(1), m.var(2));
-    EXPECT_EQ(m.restrict(f, 0, true), m.var(1));
-    EXPECT_EQ(m.restrict(f, 0, false), m.var(2));
-    // Restricting an absent variable is a no-op.
-    EXPECT_EQ(m.restrict(f, 9, true), f);
-}
-
 TEST(Bdd, ShannonExpansionIdentity)
 {
     BddManager m;
@@ -367,11 +428,19 @@ TEST(Bdd, ShannonExpansionIdentity)
         m.orOp(m.andOp(m.var(0), m.var(1)),
                m.andOp(m.var(1), m.notOp(m.var(2))));
     std::vector<double> p{0.2, 0.6, 0.9};
-    double direct = m.probability(f, p);
-    double expanded =
-        p[1] * m.probability(m.restrict(f, 1, true), p) +
-        (1.0 - p[1]) * m.probability(m.restrict(f, 1, false), p);
-    EXPECT_NEAR(direct, expanded, 1e-15);
+    std::vector<double> p_up = p;
+    std::vector<double> p_down = p;
+    p_up[1] = 1.0;
+    p_down[1] = 0.0;
+    double up = frozenProbability(m, f, p_up);
+    double down = frozenProbability(m, f, p_down);
+    EXPECT_NEAR(frozenProbability(m, f, p),
+                p[1] * up + (1.0 - p[1]) * down, 1e-15);
+    // The expansion's slope is the derivative.
+    ProbabilityScratch scratch;
+    std::vector<double> grad;
+    m.freeze(f).gradient(p, scratch, grad);
+    EXPECT_NEAR(grad[1], up - down, 1e-15);
 }
 
 TEST(Bdd, EvaluateAgreesWithProbabilityOnCornerPoints)
@@ -387,7 +456,7 @@ TEST(Bdd, EvaluateAgreesWithProbabilityOnCornerPoints)
             probs[i] = assign[i] ? 1.0 : 0.0;
         }
         EXPECT_EQ(m.evaluate(f, assign),
-                  m.probability(f, probs) > 0.5);
+                  frozenProbability(m, f, probs) > 0.5);
     }
 }
 
@@ -402,38 +471,10 @@ TEST(Bdd, NodeCountOfSimpleFunctions)
     EXPECT_EQ(m.nodeCount(chain), 3u);
 }
 
-TEST(Bdd, RestrictScratchMatchesPlainRestrict)
-{
-    BddManager m;
-    std::vector<NodeRef> vars;
-    for (unsigned i = 0; i < 8; ++i)
-        vars.push_back(m.var(i));
-    NodeRef f = m.atLeast(vars, 5);
-    RestrictScratch scratch;
-    // One scratch threaded through every call, as the importance
-    // loops do; each call must be independent of prior contents.
-    for (unsigned i = 0; i < 8; ++i) {
-        EXPECT_EQ(m.restrict(f, i, true, scratch),
-                  m.restrict(f, i, true))
-            << "var=" << i;
-        EXPECT_EQ(m.restrict(f, i, false, scratch),
-                  m.restrict(f, i, false))
-            << "var=" << i;
-    }
-    // Absent variable stays a no-op through the scratch path too.
-    EXPECT_EQ(m.restrict(f, 42, true, scratch), f);
-    // A scratch survives moving to another manager.
-    BddManager other;
-    NodeRef g = other.xorOp(other.var(0), other.var(1));
-    EXPECT_EQ(other.restrict(g, 0, true, scratch),
-              other.notOp(other.var(1)));
-}
-
 TEST(Bdd, DeepChainOperationsDoNotOverflowTheStack)
 {
-    // Regression: ite() and restrict() used native recursion and
-    // overflowed the call stack on chain diagrams a few hundred
-    // thousand nodes deep. Building the conjunction bottom-up (last
+    // Regression: ite() used native recursion and overflowed the call
+    // stack on chain diagrams a few hundred thousand nodes deep. Building the conjunction bottom-up (last
     // variable first) keeps every andOp O(1), so construction itself
     // stays linear.
     BddManager m;
@@ -448,12 +489,15 @@ TEST(Bdd, DeepChainOperationsDoNotOverflowTheStack)
     // Each of these descends the full chain.
     NodeRef negated = m.notOp(chain);
     EXPECT_EQ(m.notOp(negated), chain);
-    RestrictScratch scratch;
-    NodeRef without_bottom = m.restrict(chain, n - 1, true, scratch);
-    EXPECT_EQ(m.nodeCount(without_bottom), n - 1);
 
     std::vector<double> probs(n, 1.0);
-    EXPECT_EQ(m.probability(chain, probs), 1.0);
+    FrozenDiagram frozen = m.freeze(chain);
+    ProbabilityScratch scratch;
+    EXPECT_EQ(frozen.probability(probs, scratch), 1.0);
+    // With every other variable up, each one alone decides the chain.
+    std::vector<double> grad;
+    frozen.gradient(probs, scratch, grad);
+    EXPECT_EQ(grad, std::vector<double>(n, 1.0));
     std::vector<bool> assign(n, true);
     EXPECT_TRUE(m.evaluate(chain, assign));
     assign[n / 2] = false;
@@ -469,14 +513,13 @@ TEST(Bdd, CollectGarbageReclaimsUnrootedNodesOnly)
     NodeRef f = m.atLeast(vars, 6);
     m.addRoot(f);
     std::vector<double> probs(12, 0.9);
-    const double before = m.probability(f, probs);
+    const double before = frozenProbability(m, f, probs);
     const std::size_t f_nodes = m.nodeCount(f);
 
-    // Importance-style loop: every restrict leaves intermediates.
-    RestrictScratch scratch;
+    // Unrooted results of apply ops over f.
     for (unsigned i = 0; i < 12; ++i) {
-        m.restrict(f, i, true, scratch);
-        m.restrict(f, i, false, scratch);
+        m.andOp(f, vars[i]);
+        m.orOp(f, m.notOp(vars[i]));
     }
     const std::size_t live_before_gc = m.liveNodes();
     const std::size_t reclaimed = m.collectGarbage();
@@ -484,13 +527,18 @@ TEST(Bdd, CollectGarbageReclaimsUnrootedNodesOnly)
     EXPECT_EQ(m.liveNodes(), live_before_gc - reclaimed);
     // The rooted diagram survives intact and evaluates identically.
     EXPECT_EQ(m.nodeCount(f), f_nodes);
-    EXPECT_EQ(m.probability(f, probs), before);
+    EXPECT_EQ(frozenProbability(m, f, probs), before);
 
     BddStats stats = m.stats();
     EXPECT_EQ(stats.gcRuns, 1u);
     EXPECT_EQ(stats.gcReclaimedNodes, reclaimed);
     EXPECT_EQ(stats.freeNodes, reclaimed);
+
+    // Root released: the next collection reclaims the diagram, and
+    // only the terminals stay live.
     m.removeRoot(f);
+    EXPECT_GT(m.collectGarbage(), 0u);
+    EXPECT_EQ(m.liveNodes(), 2u);
 }
 
 TEST(Bdd, FreeListReuseKeepsTheUniqueTableCanonical)
@@ -526,47 +574,6 @@ TEST(Bdd, FreeListReuseKeepsTheUniqueTableCanonical)
     m.removeRoot(keep);
 }
 
-TEST(Bdd, ScopedRootProtectsAcrossMaybeCollect)
-{
-    BddManager m;
-    std::vector<NodeRef> vars;
-    for (unsigned i = 0; i < 10; ++i)
-        vars.push_back(m.var(i));
-    NodeRef f = m.atLeast(vars, 5);
-    std::vector<double> probs(10, 0.8);
-    m.setGcThreshold(1);
-    {
-        ScopedRoot root(m, f);
-        EXPECT_TRUE(m.maybeCollect());
-        // Rooted through the scope: still evaluates.
-        EXPECT_NEAR(m.probability(f, probs),
-                    sdnav::prob::binomialTailAtLeast(10, 5, 0.8),
-                    1e-12);
-    }
-    // Root released: the next collection reclaims the diagram.
-    m.setGcThreshold(1);
-    std::size_t live = m.liveNodes();
-    EXPECT_TRUE(m.maybeCollect());
-    EXPECT_LT(m.liveNodes(), live);
-    EXPECT_GE(m.stats().gcRuns, 2u);
-}
-
-TEST(Bdd, MaybeCollectHonorsTheThreshold)
-{
-    BddManager m;
-    NodeRef f = m.andOp(m.var(0), m.var(1));
-    m.addRoot(f);
-    // Far below any default threshold: no collection.
-    EXPECT_FALSE(m.maybeCollect());
-    EXPECT_EQ(m.stats().gcRuns, 0u);
-    m.setGcThreshold(1);
-    EXPECT_TRUE(m.maybeCollect());
-    EXPECT_EQ(m.stats().gcRuns, 1u);
-    // The adaptive reset lifts the threshold back above live size.
-    EXPECT_FALSE(m.maybeCollect());
-    m.removeRoot(f);
-}
-
 TEST(Bdd, ReorderSiftingShrinksAnInterleavedOrder)
 {
     // (x0 & x3) | (x1 & x4) | (x2 & x5): with the pairs interleaved
@@ -579,13 +586,13 @@ TEST(Bdd, ReorderSiftingShrinksAnInterleavedOrder)
         m.andOp(m.var(2), m.var(5)));
     m.addRoot(f);
     std::vector<double> probs{0.9, 0.8, 0.7, 0.6, 0.5, 0.4};
-    const double before = m.probability(f, probs);
+    const double before = frozenProbability(m, f, probs);
     const std::size_t nodes_before = m.nodeCount(f);
 
     const std::size_t saved = m.reorderSifting();
     EXPECT_GT(saved, 0u);
     EXPECT_LT(m.nodeCount(f), nodes_before);
-    EXPECT_NEAR(m.probability(f, probs), before, 1e-15);
+    EXPECT_NEAR(frozenProbability(m, f, probs), before, 1e-15);
     EXPECT_EQ(m.stats().reorderRuns, 1u);
     EXPECT_GT(m.stats().reorderSwaps, 0u);
 
@@ -608,11 +615,10 @@ TEST(Bdd, ReorderSiftingShrinksAnInterleavedOrder)
                         (assign[2] && assign[5]);
         EXPECT_EQ(m.evaluate(f, assign), expected) << "mask=" << mask;
     }
-    double expanded =
-        probs[1] * m.probability(m.restrict(f, 1, true), probs) +
-        (1.0 - probs[1]) *
-            m.probability(m.restrict(f, 1, false), probs);
-    EXPECT_NEAR(m.probability(f, probs), expanded, 1e-15);
+    // The frozen sifted diagram is laid out by level, not by variable
+    // index; its probability and gradient must not notice.
+    ProbabilityScratch scratch;
+    expectFrozenMatchesReference(m, f, probs, scratch);
     m.removeRoot(f);
 }
 
@@ -625,18 +631,20 @@ TEST(Bdd, ReorderKeepsRootedRefsDenotingTheSameFunction)
     NodeRef f = m.atLeast(vars, 3);
     NodeRef g = m.andOp(m.orOp(vars[0], vars[7]),
                         m.orOp(vars[3], vars[4]));
-    ScopedRoot root_f(m, f);
-    ScopedRoot root_g(m, g);
+    m.addRoot(f);
+    m.addRoot(g);
     std::vector<double> probs{0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2};
-    const double pf = m.probability(f, probs);
-    const double pg = m.probability(g, probs);
+    const double pf = frozenProbability(m, f, probs);
+    const double pg = frozenProbability(m, g, probs);
     m.reorderSifting();
-    EXPECT_NEAR(m.probability(f, probs), pf, 1e-15);
-    EXPECT_NEAR(m.probability(g, probs), pg, 1e-15);
+    EXPECT_NEAR(frozenProbability(m, f, probs), pf, 1e-15);
+    EXPECT_NEAR(frozenProbability(m, g, probs), pg, 1e-15);
     // Both still compose after the reorder.
     NodeRef both = m.andOp(f, g);
     std::vector<bool> assign(8, true);
     EXPECT_TRUE(m.evaluate(both, assign));
+    m.removeRoot(f);
+    m.removeRoot(g);
 }
 
 TEST(Bdd, NodeCapBudgetAbortsABigBuild)
@@ -738,7 +746,7 @@ TEST_P(BddRandomExpression, ProbabilityMatchesEnumeration)
         if (m.evaluate(f, assign))
             brute += w;
     }
-    EXPECT_NEAR(m.probability(f, probs), brute, 1e-12);
+    EXPECT_NEAR(frozenProbability(m, f, probs), brute, 1e-12);
 }
 
 TEST_P(BddRandomExpression, GcAndReorderPreserveProbability)
@@ -747,25 +755,24 @@ TEST_P(BddRandomExpression, GcAndReorderPreserveProbability)
     sdnav::prob::Rng rng(GetParam());
     BddManager m;
     NodeRef f = randomPool(m, rng, n, 40).back();
-    ScopedRoot root(m, f);
+    m.addRoot(f);
 
     std::vector<double> probs(n);
     for (unsigned i = 0; i < n; ++i)
         probs[i] = rng.uniform();
-    const double before = m.probability(f, probs);
+    const double before = frozenProbability(m, f, probs);
 
     // Collect (dropping the unrooted pool), then reorder, then build
     // more garbage on the recycled arena and collect again; the
     // rooted function's value must ride through all of it.
     m.collectGarbage();
-    EXPECT_EQ(m.probability(f, probs), before);
+    EXPECT_EQ(frozenProbability(m, f, probs), before);
     m.reorderSifting();
-    EXPECT_NEAR(m.probability(f, probs), before, 1e-15);
-    RestrictScratch scratch;
+    EXPECT_NEAR(frozenProbability(m, f, probs), before, 1e-15);
     for (unsigned i = 0; i < n; ++i)
-        m.restrict(f, i, true, scratch);
+        m.xorOp(f, m.var(i));
     m.collectGarbage();
-    EXPECT_NEAR(m.probability(f, probs), before, 1e-15);
+    EXPECT_NEAR(frozenProbability(m, f, probs), before, 1e-15);
 
     double brute = 0.0;
     std::vector<bool> assign(n);
@@ -779,7 +786,8 @@ TEST_P(BddRandomExpression, GcAndReorderPreserveProbability)
         if (m.evaluate(f, assign))
             brute += w;
     }
-    EXPECT_NEAR(m.probability(f, probs), brute, 1e-12);
+    EXPECT_NEAR(frozenProbability(m, f, probs), brute, 1e-12);
+    m.removeRoot(f);
 }
 
 TEST_P(BddRandomExpression, EveryEvaluationRouteMatchesReference)
@@ -795,7 +803,7 @@ TEST_P(BddRandomExpression, EveryEvaluationRouteMatchesReference)
     // map must come back clean after each freeze.
     ProbabilityScratch scratch;
     for (NodeRef f : pool)
-        expectAllRoutesMatchReference(m, f, probs, scratch);
+        expectFrozenMatchesReference(m, f, probs, scratch);
 
     // Collected: keep the last few functions, then build a second
     // pool on the recycled slots.
@@ -805,15 +813,15 @@ TEST_P(BddRandomExpression, EveryEvaluationRouteMatchesReference)
     m.collectGarbage();
     std::vector<NodeRef> second = randomPool(m, rng, n, 40);
     for (NodeRef f : kept)
-        expectAllRoutesMatchReference(m, f, probs, scratch);
+        expectFrozenMatchesReference(m, f, probs, scratch);
     for (NodeRef f : second)
-        expectAllRoutesMatchReference(m, f, probs, scratch);
+        expectFrozenMatchesReference(m, f, probs, scratch);
 
     // Sifted: nodes are rewritten in place, so the rooted refs now
     // name diagrams laid out under a different variable order.
     m.reorderSifting();
     for (NodeRef f : kept) {
-        expectAllRoutesMatchReference(m, f, probs, scratch);
+        expectFrozenMatchesReference(m, f, probs, scratch);
         m.removeRoot(f);
     }
 }

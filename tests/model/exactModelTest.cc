@@ -266,24 +266,27 @@ TEST(ExactPlaneModelTest, ReorderedModelMatchesDefaultAvailability)
     EXPECT_LE(sifted.bddNodeCount(), plain.bddNodeCount());
 }
 
-TEST(ExactPlaneModelTest, GoldenModelsMatchReferenceEvaluationBitExactly)
+/** One exact model behind a golden CSV. */
+struct GoldenCase
 {
-    // Every exact model behind a golden CSV: the figure 4/5 grids
-    // (OpenContrail, Small/Large, both policies, both planes), the
-    // raft control-plane scale-up ladder and the OpenContrail
-    // data-plane cluster-size ladder (node-major, 3..31 nodes). The
-    // frozen model must equal the reference evaluator run over a
-    // freshly compiled manager, to the last bit.
-    struct Case
-    {
-        std::string label;
-        fmea::ControllerCatalog catalog;
-        topology::DeploymentTopology topo;
-        SupervisorPolicy policy;
-        Plane plane;
-        ExactVariableOrder order;
-    };
-    std::vector<Case> cases;
+    std::string label;
+    fmea::ControllerCatalog catalog;
+    topology::DeploymentTopology topo;
+    SupervisorPolicy policy;
+    Plane plane;
+    ExactVariableOrder order;
+};
+
+/**
+ * Every exact model behind a golden CSV: the figure 4/5 grids
+ * (OpenContrail, Small/Large, both policies, both planes), the raft
+ * control-plane scale-up ladder and the OpenContrail data-plane
+ * cluster-size ladder (node-major, 3..31 nodes).
+ */
+std::vector<GoldenCase>
+goldenCases()
+{
+    std::vector<GoldenCase> cases;
     auto oc = fmea::openContrail3();
     for (auto kind : {topology::ReferenceKind::Small,
                       topology::ReferenceKind::Large}) {
@@ -315,27 +318,66 @@ TEST(ExactPlaneModelTest, GoldenModelsMatchReferenceEvaluationBitExactly)
              SupervisorPolicy::Required, Plane::DataPlane,
              ExactVariableOrder::NodeMajor});
     }
+    return cases;
+}
 
-    for (const Case &c : cases) {
+TEST(ExactPlaneModelTest, GoldenModelsMatchReferenceEvaluationBitExactly)
+{
+    // The frozen model must equal the reference evaluator run over a
+    // freshly compiled manager, to the last bit.
+    for (const GoldenCase &c : goldenCases()) {
         ExactPlaneModel::Options options;
         options.order = c.order;
         ExactPlaneModel model(c.catalog, c.topo, c.policy, c.plane,
                               options);
-        sdnav::rbd::CompiledRbd fresh(model.system());
-        EXPECT_EQ(model.bddNodeCount(), fresh.nodeCount()) << c.label;
+        sdnav::bdd::BddManager fresh;
+        sdnav::bdd::NodeRef root = model.system().compile(fresh);
+        EXPECT_EQ(model.bddNodeCount(), fresh.nodeCount(root))
+            << c.label;
         sdnav::bdd::ProbabilityScratch scratch;
         for (double shift : {-1.0, 0.5}) {
             SwParams params = SwParams{}.withDowntimeShift(shift);
             auto system = buildExactSystem(c.catalog, c.topo, c.policy,
                                            params, c.plane, nullptr,
                                            c.order);
-            std::vector<double> probs(system.componentCount());
-            for (std::size_t i = 0; i < probs.size(); ++i)
-                probs[i] = system.componentAvailability(i);
             double expected = sdnav::test::referenceProbability(
-                fresh.manager(), fresh.root(), probs);
+                fresh, root, system.availabilities());
             EXPECT_EQ(model.availability(params, scratch), expected)
                 << c.label << " shift " << shift;
+        }
+    }
+}
+
+TEST(ExactPlaneModelTest, GoldenModelsGradientMatchesReference)
+{
+    // Every Birnbaum importance from the adjoint pass must be within
+    // 1e-10 relative of the long double conditioning reference, on
+    // every golden model at the paper's cluster size (the ones the
+    // importance and outage analyses rank). These structure functions
+    // are monotone, so every importance is non-negative. The larger
+    // ladder clusters are left out: there some importances fall
+    // below 1e-14 of the system unavailability, under the rounding
+    // of the failure probabilities the adjoint pass differences.
+    for (const GoldenCase &c : goldenCases()) {
+        if (c.topo.clusterSize() != 3)
+            continue;
+        auto system = buildExactSystem(c.catalog, c.topo, c.policy,
+                                       SwParams{}, c.plane, nullptr,
+                                       c.order);
+        sdnav::bdd::BddManager manager;
+        sdnav::bdd::NodeRef root = system.compile(manager);
+        const std::vector<double> &probs = system.availabilities();
+        sdnav::bdd::ProbabilityScratch scratch;
+        std::vector<double> grad;
+        manager.freeze(root).gradient(probs, scratch, grad);
+        std::vector<long double> expected =
+            sdnav::test::referenceGradient(manager, root, probs);
+        ASSERT_EQ(grad.size(), expected.size()) << c.label;
+        for (std::size_t i = 0; i < grad.size(); ++i) {
+            double want = static_cast<double>(expected[i]);
+            EXPECT_GE(want, 0.0) << c.label << " component " << i;
+            EXPECT_NEAR(grad[i], want, 1e-10 * want)
+                << c.label << " component " << i;
         }
     }
 }

@@ -5,6 +5,7 @@
  * measures must identify the structural weak links.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -12,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hh"
+#include "fmea/openContrail.hh"
+#include "model/exactModel.hh"
 #include "rbd/system.hh"
 
 namespace
@@ -226,17 +229,50 @@ TEST(RbdSystem, RankImportanceWithReorderMatchesDefault)
     }
 }
 
-TEST(CompiledRbd, ReorderOptionPreservesProbability)
+TEST(RbdSystem, SymmetricComponentsRankInIdOrder)
+{
+    // 2L-DP: OpenContrail's host data plane on the Large topology,
+    // supervisors required. Each role's three node supervisors are
+    // interchangeable, so their criticalities tie up to rounding and
+    // must rank consecutively in id order.
+    auto system = sdnav::model::buildExactSystem(
+        sdnav::fmea::openContrail3(), sdnav::topology::largeTopology(),
+        sdnav::model::SupervisorPolicy::Required,
+        sdnav::model::SwParams{}, sdnav::fmea::Plane::DataPlane);
+    auto ranking = system.rankImportance();
+    for (const std::string role : {"Config", "Control"}) {
+        const std::string prefix = "supervisor-" + role + "-";
+        auto first = std::find_if(ranking.begin(), ranking.end(),
+                                  [&](const ImportanceEntry &e) {
+                                      return e.name == prefix + "0";
+                                  });
+        ASSERT_GE(std::distance(first, ranking.end()), 3) << role;
+        for (int node = 0; node < 3; ++node) {
+            EXPECT_EQ(first[node].name, prefix + std::to_string(node))
+                << "rank " << (first - ranking.begin()) + node + 1;
+        }
+        EXPECT_LT(first[0].component, first[1].component);
+        EXPECT_LT(first[1].component, first[2].component);
+    }
+}
+
+TEST(CompileFrozen, ReorderOptionPreservesProbability)
 {
     RbdSystem system = twoOfThreeSystem(0.9);
-    CompiledRbd plain(system);
-    CompiledRbd::Options options;
+    FrozenRbd plain = compileFrozen(system);
+    CompileOptions options;
     options.reorder = true;
-    CompiledRbd sifted(system, options);
+    FrozenRbd sifted = compileFrozen(system, options);
     const std::vector<double> &avail = system.availabilities();
-    EXPECT_NEAR(plain.probability(avail), sifted.probability(avail),
-                1e-15);
-    EXPECT_LE(sifted.nodeCount(), plain.nodeCount());
+    sdnav::bdd::ProbabilityScratch scratch;
+    EXPECT_NEAR(plain.diagram.probability(avail, scratch),
+                sifted.diagram.probability(avail, scratch), 1e-15);
+    EXPECT_LE(sifted.diagram.nodeCount(), plain.diagram.nodeCount());
+    // The stats are the build manager's: its peak covers the frozen
+    // nodes plus the terminals, and only the sifted build reordered.
+    EXPECT_GE(plain.stats.peakNodes, plain.diagram.nodeCount() + 2);
+    EXPECT_EQ(plain.stats.reorderRuns, 0u);
+    EXPECT_EQ(sifted.stats.reorderRuns, 1u);
 }
 
 TEST(RbdSystem, CriticalityZeroForPerfectSystem)
