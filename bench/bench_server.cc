@@ -11,7 +11,9 @@
  *          OpenContrail/Large query re-compiles from scratch;
  *   hot    a primed cache serving the same query repeatedly.
  *
- * and then a sustained multi-connection throughput phase. The
+ * and then a sustained throughput curve at 1, 2, 4 and 8 concurrent
+ * connections on the hot key (server.qps_c1 ... server.qps_c8, with
+ * the hardware concurrency recorded beside them). The
  * speedup is *asserted* (require >= 50x): if caching ever stops
  * paying for itself, this bench fails rather than quietly recording
  * a regression. Hit rate and latency percentiles come from the
@@ -20,6 +22,7 @@
  * in BENCH_server.json for the CI perf gate.
  */
 
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -61,6 +64,9 @@ evictorQuery(double id)
     doc.set("nodes", 3);
     return doc.dump();
 }
+
+/** Connection counts of the sustained-throughput scaling curve. */
+constexpr int kScalingConnections[] = {1, 2, 4, 8};
 
 double
 timedRequestMs(server::LineClient &client, const std::string &line)
@@ -113,7 +119,7 @@ printReport()
     double hotTotalMs = 0.0;
     double hitRate = 0.0;
     double p99Ms = 0.0;
-    double qps = 0.0;
+    std::vector<double> qps; // per entry of kScalingConnections
     {
         obs::Registry::global().reset();
         server::ServerOptions options;
@@ -125,27 +131,30 @@ printReport()
         for (int i = 0; i < kHotRounds; ++i)
             hotTotalMs += timedRequestMs(client, targetQuery(i));
 
-        // Sustained throughput: four connections hammering the hot
-        // key concurrently.
-        constexpr int kConnections = 4;
-        constexpr int kPerConnection = 100;
-        auto t0 = std::chrono::steady_clock::now();
-        std::vector<std::thread> threads;
-        for (int c = 0; c < kConnections; ++c)
-            threads.emplace_back([&srv, c] {
-                server::LineClient worker;
-                worker.connect(srv.port());
-                for (int i = 0; i < kPerConnection; ++i)
-                    timedRequestMs(worker,
-                                   targetQuery(c * 1000.0 + i));
-            });
-        for (std::thread &thread : threads)
-            thread.join();
-        double wallS = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
-        qps = static_cast<double>(kConnections * kPerConnection) /
-              wallS;
+        // Sustained throughput: 1, 2, 4 and 8 connections hammering
+        // the hot key concurrently. Hits are served on the session
+        // threads, so this curve is the session layer's scaling.
+        constexpr int kPerConnection = 200;
+        for (int connections : kScalingConnections) {
+            auto t0 = std::chrono::steady_clock::now();
+            std::vector<std::thread> threads;
+            for (int c = 0; c < connections; ++c)
+                threads.emplace_back([&srv, c] {
+                    server::LineClient worker;
+                    worker.connect(srv.port());
+                    for (int i = 0; i < kPerConnection; ++i)
+                        timedRequestMs(worker,
+                                       targetQuery(c * 1000.0 + i));
+                });
+            for (std::thread &thread : threads)
+                thread.join();
+            double wallS = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+            qps.push_back(
+                static_cast<double>(connections * kPerConnection) /
+                wallS);
+        }
 
         // Hit rate and p99 from the obs metrics, the same counters
         // the `stats` command serves.
@@ -168,7 +177,16 @@ printReport()
     bench::recordValue("server.hit_speedup", speedup);
     bench::recordValue("server.hit_p99_ms", p99Ms);
     bench::recordValue("server.hit_rate", hitRate);
-    bench::recordValue("server.qps", qps);
+    std::ostringstream curve;
+    for (std::size_t i = 0; i < qps.size(); ++i) {
+        std::string c = std::to_string(kScalingConnections[i]);
+        bench::recordValue("server.qps_c" + c, qps[i]);
+        curve << (i > 0 ? ", " : "") << c << "c "
+              << formatFixed(qps[i], 0);
+    }
+    bench::recordValue(
+        "server.hardware_concurrency",
+        static_cast<double>(std::thread::hardware_concurrency()));
 
     // The tentpole claim, asserted end to end through the socket.
     require(speedup >= 50.0,
@@ -179,8 +197,9 @@ printReport()
               << formatFixed(coldMeanMs, 2) << " ms -> hit "
               << formatFixed(hotMeanMs, 3) << " ms), hit rate "
               << formatFixed(hitRate, 4) << ", p99 "
-              << formatFixed(p99Ms, 3) << " ms, sustained "
-              << formatFixed(qps, 0) << " req/s\n";
+              << formatFixed(p99Ms, 3) << " ms, sustained req/s "
+              << curve.str() << " (hardware concurrency "
+              << std::thread::hardware_concurrency() << ")\n";
 }
 
 /** Microbenchmark: request-line parse + validation alone. */

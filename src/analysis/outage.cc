@@ -81,11 +81,8 @@ profileImpl(const rbd::RbdSystem &system,
     if (contributions && nu > 0.0) {
         for (OutageContribution &c : *contributions)
             c.share = c.outagesPerYear / (nu * hoursPerYear);
-        std::sort(contributions->begin(), contributions->end(),
-                  [](const OutageContribution &a,
-                     const OutageContribution &b) {
-                      return a.outagesPerYear > b.outagesPerYear;
-                  });
+        rbd::rankDescending(*contributions,
+                            &OutageContribution::outagesPerYear);
     }
     return profile;
 }

@@ -314,29 +314,7 @@ RbdSystem::rankImportance(const ImportanceOptions &options) const
                            criticality(birnbaum[id], availabilities_[id],
                                        system_unavailability)});
     }
-    std::sort(entries.begin(), entries.end(),
-              [](const ImportanceEntry &a, const ImportanceEntry &b) {
-                  return a.criticality > b.criticality;
-              });
-    // Symmetric components tie in exact arithmetic, but the diagram
-    // sums their paths in different orders, which splits them by a
-    // few ulps. Rank each run of values within 1e-10 relative of its
-    // first entry in id order. Anchoring the window on the run's first
-    // entry, not on neighbours, keeps the result a strict ordering.
-    constexpr double kTieTolerance = 1e-10;
-    for (auto run = entries.begin(); run != entries.end();) {
-        const double top = run->criticality;
-        auto end = std::find_if(run, entries.end(),
-                                [top](const ImportanceEntry &e) {
-                                    return top - e.criticality >
-                                           kTieTolerance * top;
-                                });
-        std::sort(run, end,
-                  [](const ImportanceEntry &a, const ImportanceEntry &b) {
-                      return a.component < b.component;
-                  });
-        run = end;
-    }
+    rankDescending(entries, &ImportanceEntry::criticality);
     return entries;
 }
 

@@ -8,6 +8,7 @@
 #ifndef SDNAV_RBD_SYSTEM_HH
 #define SDNAV_RBD_SYSTEM_HH
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
@@ -73,6 +74,34 @@ struct ImportanceEntry
      */
     double criticality;
 };
+
+/**
+ * Sort rows by descending score, ranking ties in component id order.
+ * Symmetric components tie in exact arithmetic, but a diagram sums
+ * their paths in different orders, which splits them by a few ulps.
+ * So a tie is a run of scores within 1e-10 relative of the run's
+ * first row. Anchoring the window on the run's first row, not on
+ * neighbours, keeps the result a strict ordering.
+ */
+template <typename Row>
+void
+rankDescending(std::vector<Row> &rows, double Row::*score)
+{
+    constexpr double kTieTolerance = 1e-10;
+    std::sort(rows.begin(), rows.end(), [score](const Row &a, const Row &b) {
+        return a.*score > b.*score;
+    });
+    for (auto run = rows.begin(); run != rows.end();) {
+        const double top = (*run).*score;
+        auto end = std::find_if(run, rows.end(), [&](const Row &row) {
+            return top - row.*score > kTieTolerance * top;
+        });
+        std::sort(run, end, [](const Row &a, const Row &b) {
+            return a.component < b.component;
+        });
+        run = end;
+    }
+}
 
 /**
  * An RBD system: components with availabilities, a structure tree,

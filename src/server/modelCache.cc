@@ -78,12 +78,65 @@ ModelCache::setCompileBudget(const bdd::StepBudget &budget)
     compileBudget_ = budget;
 }
 
+ModelCache::Failure
+ModelCache::Failure::current()
+{
+    Failure failure;
+    try {
+        throw;
+    } catch (const bdd::BudgetExceeded &e) {
+        failure.budgetName = e.budgetName();
+        failure.nodesAllocated = e.nodesAllocated();
+        failure.gcRuns = e.gcRuns();
+        failure.elapsedMs = e.elapsedMs();
+    } catch (const std::exception &e) {
+        failure.message = e.what();
+    } catch (...) {
+        failure.message = "model compile failed";
+    }
+    return failure;
+}
+
+void
+ModelCache::Failure::raise() const
+{
+    if (!budgetName.empty())
+        throw bdd::BudgetExceeded(budgetName, nodesAllocated, gcRuns,
+                                  elapsedMs);
+    throw ModelError(message);
+}
+
+void
+ModelCache::touchLocked(EntryList::iterator entry)
+{
+    lru_.splice(lru_.begin(), lru_, entry);
+    ++hits_;
+    hitCounter().add();
+}
+
+std::optional<CacheLookup>
+ModelCache::tryAcquire(const QuerySpec &spec)
+{
+    std::shared_future<Compiled> future;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto it = index_.find(spec.modelKey());
+        if (it == index_.end() || !it->second->ready)
+            return std::nullopt;
+        touchLocked(it->second);
+        future = it->second->future;
+    }
+    // A ready entry's future already holds its model: no wait.
+    const Compiled &compiled = future.get();
+    return CacheLookup{compiled.model, true, false, compiled.compileMs};
+}
+
 CacheLookup
 ModelCache::acquire(const QuerySpec &spec)
 {
     std::string key = spec.modelKey();
-    std::promise<CachedModel> promise;
-    std::shared_future<CachedModel> future;
+    std::promise<Compiled> promise;
+    std::shared_future<Compiled> future;
     bdd::StepBudget budget;
     bool compile = false;
     bool coalesced = false;
@@ -91,10 +144,9 @@ ModelCache::acquire(const QuerySpec &spec)
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = index_.find(key);
         if (it != index_.end()) {
-            lru_.splice(lru_.begin(), lru_, it->second);
+            touchLocked(it->second);
             future = it->second->future;
             coalesced = !it->second->ready;
-            ++hits_;
         } else {
             future = promise.get_future().share();
             lru_.push_front(Entry{key, future, false, 0});
@@ -106,38 +158,19 @@ ModelCache::acquire(const QuerySpec &spec)
     }
 
     if (!compile) {
-        hitCounter().add();
         // May be an in-flight compile: waiting here coalesces
         // concurrent misses onto one build.
-        CachedModel cached = future.get();
-        return {cached.model, true, coalesced, cached.compileMs};
+        const Compiled &compiled = future.get();
+        if (compiled.failure)
+            compiled.failure->raise();
+        return {compiled.model, true, coalesced, compiled.compileMs};
     }
 
     missCounter().add();
+    auto t0 = std::chrono::steady_clock::now();
+    std::shared_ptr<const model::ExactPlaneModel> model;
     try {
-        auto t0 = std::chrono::steady_clock::now();
-        std::shared_ptr<const model::ExactPlaneModel> model =
-            compileModel(spec, budget);
-        double compileMs =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            auto it = index_.find(key);
-            // The entry cannot have been evicted: eviction skips
-            // entries whose compile has not finished.
-            require(it != index_.end(),
-                    "model cache lost an in-flight entry");
-            it->second->ready = true;
-            it->second->bddNodes = model->bddNodeCount();
-            ++readyCount_;
-            totalBddNodes_ += it->second->bddNodes;
-            evictOverCapacityLocked();
-        }
-        compileTimer().record(compileMs);
-        promise.set_value(CachedModel{model, compileMs});
-        return {model, false, false, compileMs};
+        model = compileModel(spec, budget);
     } catch (...) {
         {
             std::lock_guard<std::mutex> lock(mutex_);
@@ -147,9 +180,29 @@ ModelCache::acquire(const QuerySpec &spec)
                 index_.erase(it);
             }
         }
-        promise.set_exception(std::current_exception());
+        promise.set_value(Compiled{nullptr, 0.0, Failure::current()});
         throw;
     }
+    double compileMs = std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count();
+    // Fulfil the future before marking the entry ready, so that
+    // tryAcquire() never finds a ready entry it would wait on.
+    promise.set_value(Compiled{model, compileMs, std::nullopt});
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto it = index_.find(key);
+        // The entry cannot have been evicted: eviction skips entries
+        // whose compile has not finished.
+        require(it != index_.end(), "model cache lost an in-flight entry");
+        it->second->ready = true;
+        it->second->bddNodes = model->bddNodeCount();
+        ++readyCount_;
+        totalBddNodes_ += it->second->bddNodes;
+        evictOverCapacityLocked();
+    }
+    compileTimer().record(compileMs);
+    return {model, false, false, compileMs};
 }
 
 void

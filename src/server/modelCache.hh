@@ -13,10 +13,17 @@
  * Concurrency: lookups take one mutex; compilation happens *outside*
  * it. Concurrent misses on the same key coalesce onto a single
  * compile (the losers wait on a shared_future and count as hits —
- * they never compiled). Concurrent misses on different keys compile
- * in parallel; each compile owns its own BddManager, so builds are
- * independent. Served models are shared_ptr, so an entry evicted
- * while a worker still evaluates it stays alive until released.
+ * they never compiled). A failed compile reaches its waiters as a
+ * value, and each waiter throws its own exception, so no exception
+ * object is shared between threads. Concurrent misses on different
+ * keys compile in parallel; each compile owns its own BddManager, so
+ * builds are independent. Served models are shared_ptr, so an entry
+ * evicted while a thread still evaluates it stays alive until
+ * released.
+ *
+ * The server's session threads call tryAcquire(), which serves only
+ * resident models and never waits or compiles; everything else goes
+ * to the worker pool, which calls acquire().
  *
  * Accounting: entryCount() never exceeds capacity, and
  * totalBddNodes() tracks the summed frozen-diagram size of the
@@ -33,6 +40,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -42,15 +50,6 @@
 
 namespace sdnav::server
 {
-
-/** The cached compiled model plus its provenance. */
-struct CachedModel
-{
-    std::shared_ptr<const model::ExactPlaneModel> model;
-
-    /** Wall time the compile took, for reply diagnostics. */
-    double compileMs = 0.0;
-};
 
 /** Result of one cache lookup. */
 struct CacheLookup
@@ -87,6 +86,14 @@ class ModelCache
     CacheLookup acquire(const QuerySpec &spec);
 
     /**
+     * Return the model only when the spec's key is resident and its
+     * compile has finished; the hit counts and bumps the LRU exactly
+     * as in acquire(). Otherwise return nothing, count nothing, and
+     * neither wait nor compile.
+     */
+    std::optional<CacheLookup> tryAcquire(const QuerySpec &spec);
+
+    /**
      * Set the compile budget applied to every subsequent miss
      * compile. Zeroed fields (the default) are unlimited. A compile
      * that exceeds the budget throws bdd::BudgetExceeded out of
@@ -113,10 +120,44 @@ class ModelCache
     std::uint64_t evictions() const;
 
   private:
+    /**
+     * A failed compile as plain values: each coalesced waiter builds
+     * and throws an exception of its own from them.
+     */
+    struct Failure
+    {
+        /** The tripped budget; empty for any other failure. */
+        std::string budgetName;
+        std::size_t nodesAllocated = 0;
+        std::uint64_t gcRuns = 0;
+        double elapsedMs = 0.0;
+
+        /** what() of a failure that was not a budget abort. */
+        std::string message;
+
+        /** The failure of the exception being handled. */
+        static Failure current();
+
+        [[noreturn]] void raise() const;
+    };
+
+    /** What one compile hands its coalesced waiters. */
+    struct Compiled
+    {
+        std::shared_ptr<const model::ExactPlaneModel> model;
+
+        /** Wall time the compile took, for reply diagnostics. */
+        double compileMs = 0.0;
+
+        std::optional<Failure> failure;
+    };
+
     struct Entry
     {
         std::string key;
-        std::shared_future<CachedModel> future;
+
+        /** Ready (and holding a model) once `ready` is set. */
+        std::shared_future<Compiled> future;
         bool ready = false;
 
         /** Node footprint, recorded once the compile finished. */
@@ -124,6 +165,9 @@ class ModelCache
     };
 
     using EntryList = std::list<Entry>;
+
+    /** The hit branch: bump the entry to the LRU front, count it. */
+    void touchLocked(EntryList::iterator entry);
 
     /** Drop ready entries from the LRU tail until within capacity. */
     void evictOverCapacityLocked();

@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -102,6 +103,14 @@ oversizedLineCounter()
 {
     static obs::Counter &c =
         obs::Registry::global().counter("server.oversized_lines");
+    return c;
+}
+
+obs::Counter &
+sessionServedCounter()
+{
+    static obs::Counter &c =
+        obs::Registry::global().counter("server.session_served");
     return c;
 }
 
@@ -376,7 +385,10 @@ Server::reapSessions(bool joinAll)
 void
 Server::sessionLoop(Session &session)
 {
+    // Lines are consumed by offset and the buffer is compacted once
+    // per recv, so a burst of pipelined lines costs linear time.
     std::string buffer;
+    std::string line;
     bool discarding = false;
     char chunk[4096];
 
@@ -395,16 +407,19 @@ Server::sessionLoop(Session &session)
                 continue;
             break;
         }
+        // The bytes already buffered hold no newline.
+        std::size_t scanFrom = buffer.size();
         buffer.append(chunk, static_cast<std::size_t>(n));
 
+        std::size_t start = 0;
         for (;;) {
-            std::size_t pos = buffer.find('\n');
+            std::size_t pos = buffer.find('\n', std::max(start, scanFrom));
             if (pos == std::string::npos) {
                 if (discarding) {
                     // Still inside an already-rejected line; keep
                     // dropping bytes until its newline arrives.
-                    buffer.clear();
-                } else if (buffer.size() > options_.maxLineBytes) {
+                    start = buffer.size();
+                } else if (buffer.size() - start > options_.maxLineBytes) {
                     errors_.fetch_add(1, std::memory_order_relaxed);
                     errorCounter().add();
                     oversizedLineCounter().add();
@@ -417,13 +432,13 @@ Server::sessionLoop(Session &session)
                                          " bytes") +
                                      "\n"))
                         goto done;
-                    buffer.clear();
+                    start = buffer.size();
                     discarding = true;
                 }
                 break;
             }
-            std::string line = buffer.substr(0, pos);
-            buffer.erase(0, pos + 1);
+            line.assign(buffer, start, pos - start);
+            start = pos + 1;
             if (discarding) {
                 // This newline terminates the rejected line; the
                 // next line starts clean.
@@ -435,9 +450,11 @@ Server::sessionLoop(Session &session)
             if (line.empty())
                 continue;
             std::string reply = handleLine(line, session.peer);
-            if (!sendAll(session.fd, reply + "\n"))
+            reply.push_back('\n');
+            if (!sendAll(session.fd, reply))
                 goto done;
         }
+        buffer.erase(0, start);
     }
 
 done:
@@ -526,50 +543,13 @@ Server::handleLine(const std::string &line, const std::string &peer)
     else if (request.kind == Request::Kind::Batch)
         record.key = "batch";
 
-    // Fan the query items out to the worker pool, then collect the
-    // results in request order so replies stay deterministic.
-    std::vector<std::future<JobResult>> pending(
-        request.queries.size());
-    std::vector<json::Value> results(request.queries.size());
+    // Fold each item's telemetry into the request-log record.
     bool anyError = false;
     bool anyBudgetExceeded = false;
     const char *cacheAgg = nullptr;
     bool cacheMixed = false;
-    for (std::size_t i = 0; i < request.queries.size(); ++i) {
-        ParsedQuery &item = request.queries[i];
-        if (!item.ok) {
-            errors_.fetch_add(1, std::memory_order_relaxed);
-            errorCounter().add();
-            anyError = true;
-            json::Value failed = json::Value::makeObject();
-            failed.set("ok", false);
-            failed.set("error", item.error);
-            results[i] = std::move(failed);
-            continue;
-        }
-        queries_.fetch_add(1, std::memory_order_relaxed);
-        queryCounter().add();
-        Job job;
-        job.spec = item.spec;
-        job.requestId = requestId;
-        job.enqueueTime = std::chrono::steady_clock::now();
-        pending[i] = job.result.get_future();
-        if (!queue_.push(std::move(job))) {
-            errors_.fetch_add(1, std::memory_order_relaxed);
-            errorCounter().add();
-            anyError = true;
-            json::Value failed = json::Value::makeObject();
-            failed.set("ok", false);
-            failed.set("error", "server is shutting down");
-            results[i] = std::move(failed);
-            pending[i] = {};
-        }
-    }
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-        if (!pending[i].valid())
-            continue;
-        JobResult job_result = pending[i].get();
-        const JobTelemetry &telemetry = job_result.telemetry;
+    auto account = [&](const JobResult &result) {
+        const JobTelemetry &telemetry = result.telemetry;
         record.queueWaitMs += telemetry.queueWaitMs;
         record.compileMs += telemetry.compileMs;
         record.evalMs += telemetry.evalMs;
@@ -581,29 +561,98 @@ Server::handleLine(const std::string &line, const std::string &peer)
         }
         if (telemetry.budgetExceeded)
             anyBudgetExceeded = true;
-        if (job_result.reply.contains("ok") &&
-            !job_result.reply.at("ok").asBool())
+        if (!result.reply.at("ok").asBool())
             anyError = true;
-        results[i] = std::move(job_result.reply);
-    }
-    record.cache =
-        cacheMixed ? "mixed" : (cacheAgg != nullptr ? cacheAgg : "");
-    record.outcome = anyBudgetExceeded
-                         ? "budget_exceeded"
-                         : (anyError ? "error" : "ok");
+    };
+    auto settle = [&] {
+        record.cache = cacheMixed
+                           ? "mixed"
+                           : (cacheAgg != nullptr ? cacheAgg : "");
+        record.outcome = anyBudgetExceeded
+                             ? "budget_exceeded"
+                             : (anyError ? "error" : "ok");
+    };
 
     if (request.kind == Request::Kind::Query) {
-        // Merge the single result into the id-bearing envelope.
-        for (const auto &[key, value] : results[0].asObject())
+        JobResult result = answerQuery(request.queries[0], requestId);
+        account(result);
+        settle();
+        // Merge the result into the id-bearing envelope.
+        for (const auto &[key, value] : result.reply.asObject())
             reply.set(key, value);
-    } else {
-        reply.set("ok", true);
-        json::Value items = json::Value::makeArray();
-        for (json::Value &result : results)
-            items.push(std::move(result));
-        reply.set("results", std::move(items));
+        return finish(reply.dump());
     }
+
+    // Fan the batch out to the worker pool, then collect the results
+    // in request order so replies stay deterministic.
+    std::vector<std::future<JobResult>> pending(request.queries.size());
+    std::vector<JobResult> results(request.queries.size());
+    for (std::size_t i = 0; i < request.queries.size(); ++i) {
+        const ParsedQuery &item = request.queries[i];
+        if (!item.ok) {
+            results[i] = errorResult(item.error);
+            continue;
+        }
+        queries_.fetch_add(1, std::memory_order_relaxed);
+        queryCounter().add();
+        pending[i] = enqueue(item.spec, requestId);
+        if (!pending[i].valid())
+            results[i] = errorResult("server is shutting down");
+    }
+    json::Value items = json::Value::makeArray();
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        if (pending[i].valid())
+            results[i] = pending[i].get();
+        account(results[i]);
+        items.push(std::move(results[i].reply));
+    }
+    settle();
+    reply.set("ok", true);
+    reply.set("results", std::move(items));
     return finish(reply.dump());
+}
+
+JobResult
+Server::answerQuery(const ParsedQuery &item, std::uint64_t requestId)
+{
+    if (!item.ok)
+        return errorResult(item.error);
+    queries_.fetch_add(1, std::memory_order_relaxed);
+    queryCounter().add();
+    // A resident model is evaluated right here, on the session
+    // thread. Anything that could compile or wait goes to the pool.
+    if (std::optional<CacheLookup> lookup = cache_.tryAcquire(item.spec)) {
+        sessionServedCounter().add();
+        return serveQuery(item.spec, requestId, std::move(lookup));
+    }
+    std::future<JobResult> pending = enqueue(item.spec, requestId);
+    if (!pending.valid())
+        return errorResult("server is shutting down");
+    return pending.get();
+}
+
+std::future<JobResult>
+Server::enqueue(const QuerySpec &spec, std::uint64_t requestId)
+{
+    Job job;
+    job.spec = spec;
+    job.requestId = requestId;
+    job.enqueueTime = std::chrono::steady_clock::now();
+    std::future<JobResult> pending = job.result.get_future();
+    if (!queue_.push(std::move(job)))
+        return {};
+    return pending;
+}
+
+JobResult
+Server::errorResult(const std::string &message)
+{
+    errors_.fetch_add(1, std::memory_order_relaxed);
+    errorCounter().add();
+    json::Value failed = json::Value::makeObject();
+    failed.set("ok", false);
+    failed.set("error", message);
+    return {std::move(failed), {}};
 }
 
 void
@@ -611,67 +660,73 @@ Server::workerLoop()
 {
     Job job;
     while (queue_.pop(job)) {
-        JobTelemetry telemetry;
-        telemetry.queueWaitMs = elapsedMs(job.enqueueTime);
-        obs::TraceSpan job_span("server.job", job.requestId);
-        json::Value result = json::Value::makeObject();
-        try {
-            CacheLookup lookup;
-            {
-                obs::TraceSpan acquire_span("server.model_acquire",
-                                            job.requestId);
-                lookup = cache_.acquire(job.spec);
-            }
-            if (!lookup.hit)
-                telemetry.compileMs = lookup.compileMs;
-            telemetry.cache =
-                lookup.hit ? (lookup.coalesced ? "coalesced" : "hit")
-                           : "miss";
-            auto t0 = std::chrono::steady_clock::now();
-            double availability;
-            {
-                obs::TraceSpan eval_span("server.eval",
-                                         job.requestId);
-                thread_local bdd::ProbabilityScratch scratch;
-                availability = lookup.model->availability(
-                    job.spec.params, scratch);
-            }
-            double evalMs = elapsedMs(t0);
-            evalTimer().record(evalMs);
-            telemetry.evalMs = evalMs;
-            result.set("ok", true);
-            result.set("availability", availability);
-            result.set("plane", job.spec.planeName());
-            result.set("model_key", job.spec.modelKey());
-            result.set("cache", telemetry.cache);
-        } catch (const bdd::BudgetExceeded &e) {
-            // A budget abort is a per-request answer, not a worker
-            // failure: report what the compile had consumed and move
-            // on. Coalesced waiters see the same exception through
-            // the shared future and land here too.
-            errors_.fetch_add(1, std::memory_order_relaxed);
-            errorCounter().add();
-            compileAbortCounter().add();
-            obs::Tracer::global().instant("server.budget_exceeded",
-                                          job.requestId);
-            telemetry.budgetExceeded = true;
-            result.set("ok", false);
-            result.set("error", e.what());
-            result.set("budget_exceeded", true);
-            result.set("budget", e.budgetName());
-            result.set("nodes_allocated",
-                       static_cast<double>(e.nodesAllocated()));
-            result.set("gc_runs", static_cast<double>(e.gcRuns()));
-            result.set("elapsed_ms", e.elapsedMs());
-        } catch (const std::exception &e) {
-            errors_.fetch_add(1, std::memory_order_relaxed);
-            errorCounter().add();
-            result.set("ok", false);
-            result.set("error", e.what());
-        }
-        job.result.set_value(
-            JobResult{std::move(result), telemetry});
+        double queueWaitMs = elapsedMs(job.enqueueTime);
+        JobResult result =
+            serveQuery(job.spec, job.requestId, std::nullopt);
+        result.telemetry.queueWaitMs = queueWaitMs;
+        job.result.set_value(std::move(result));
     }
+}
+
+JobResult
+Server::serveQuery(const QuerySpec &spec, std::uint64_t requestId,
+                   std::optional<CacheLookup> lookup)
+{
+    JobTelemetry telemetry;
+    obs::TraceSpan job_span("server.job", requestId);
+    json::Value result = json::Value::makeObject();
+    try {
+        if (!lookup) {
+            obs::TraceSpan acquire_span("server.model_acquire",
+                                        requestId);
+            lookup = cache_.acquire(spec);
+        }
+        if (!lookup->hit)
+            telemetry.compileMs = lookup->compileMs;
+        telemetry.cache =
+            lookup->hit ? (lookup->coalesced ? "coalesced" : "hit")
+                        : "miss";
+        auto t0 = std::chrono::steady_clock::now();
+        double availability;
+        {
+            obs::TraceSpan eval_span("server.eval", requestId);
+            thread_local bdd::ProbabilityScratch scratch;
+            availability =
+                lookup->model->availability(spec.params, scratch);
+        }
+        double evalMs = elapsedMs(t0);
+        evalTimer().record(evalMs);
+        telemetry.evalMs = evalMs;
+        result.set("ok", true);
+        result.set("availability", availability);
+        result.set("plane", spec.planeName());
+        result.set("model_key", spec.modelKey());
+        result.set("cache", telemetry.cache);
+    } catch (const bdd::BudgetExceeded &e) {
+        // A budget abort is a per-request answer, not a worker
+        // failure: report what the compile had consumed and move on.
+        // Coalesced waiters throw their own copy and land here too.
+        errors_.fetch_add(1, std::memory_order_relaxed);
+        errorCounter().add();
+        compileAbortCounter().add();
+        obs::Tracer::global().instant("server.budget_exceeded",
+                                      requestId);
+        telemetry.budgetExceeded = true;
+        result.set("ok", false);
+        result.set("error", e.what());
+        result.set("budget_exceeded", true);
+        result.set("budget", e.budgetName());
+        result.set("nodes_allocated",
+                   static_cast<double>(e.nodesAllocated()));
+        result.set("gc_runs", static_cast<double>(e.gcRuns()));
+        result.set("elapsed_ms", e.elapsedMs());
+    } catch (const std::exception &e) {
+        errors_.fetch_add(1, std::memory_order_relaxed);
+        errorCounter().add();
+        result.set("ok", false);
+        result.set("error", e.what());
+    }
+    return {std::move(result), telemetry};
 }
 
 json::Value

@@ -8,23 +8,27 @@
  * server keeps the compiled models hot: requests arrive as
  * newline-delimited JSON over a TCP socket (see server/protocol.hh),
  * a size-bounded LRU cache (server/ModelCache) compiles each
- * distinct (catalog, topology, nodes, policy, plane) once, and a
- * worker pool answers every repeat query with one forward pass over
- * the model's frozen diagram, against per-worker scratch buffers:
- * about 50 us for OpenContrail Large x3 CP (36,372 nodes; median
- * on a 4-core x86-64 VM).
+ * distinct (catalog, topology, nodes, policy, plane) once, and every
+ * repeat query is one forward pass over the model's frozen diagram,
+ * against per-thread scratch buffers: about 50 us for OpenContrail
+ * Large x3 CP (36,372 nodes; median on a 4-core x86-64 VM).
  *
  * Architecture (one thread each unless noted):
  *
  *   acceptor ── accepts connections, reaps finished sessions
  *   session (per connection) ── reads lines, parses requests,
- *     enqueues query jobs, assembles in-order reply lines
- *   worker (xN) ── pops jobs, serves models from the cache,
- *     evaluates availability, fulfills the session's futures
+ *     evaluates a single query whose model is resident (a hit)
+ *     itself, enqueues every other query job, assembles in-order
+ *     reply lines
+ *   worker (xN) ── pops jobs: misses (the compiles), waits on an
+ *     in-flight compile of the same key, and every item of a
+ *     "queries" batch; fulfills the session's futures
  *
- * The job queue is bounded: a full queue blocks the enqueuing
- * session (and therefore stops reading its socket), so backpressure
- * propagates to clients through TCP instead of growing memory.
+ * So the worker count bounds compile concurrency and batch
+ * parallelism, while a hit costs no thread handoff. The job queue is
+ * bounded: a full queue blocks the enqueuing session (and therefore
+ * stops reading its socket), so backpressure propagates to clients
+ * through TCP instead of growing memory.
  *
  * Failure isolation: a malformed, oversized, or invalid request
  * yields a JSON error reply on that connection and nothing else —
@@ -48,6 +52,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -121,7 +126,7 @@ struct ServerOptions
 /** Where one job's time went, reported back with its reply. */
 struct JobTelemetry
 {
-    /** Queue entry to worker pickup. */
+    /** Queue entry to worker pickup; 0 when the session served it. */
     double queueWaitMs = 0.0;
 
     /** Compile wall time when this job compiled; 0 on a hit. */
@@ -137,7 +142,7 @@ struct JobTelemetry
     bool budgetExceeded = false;
 };
 
-/** A worker's answer: the reply fragment plus its telemetry. */
+/** One query's answer: the reply fragment plus its telemetry. */
 struct JobResult
 {
     json::Value reply;
@@ -264,6 +269,28 @@ class Server
     /** Handle one request line; returns the reply line. */
     std::string handleLine(const std::string &line,
                            const std::string &peer);
+
+    /**
+     * Answer a single query: on the calling session thread when its
+     * model is resident, through the worker pool otherwise.
+     */
+    JobResult answerQuery(const ParsedQuery &item,
+                          std::uint64_t requestId);
+
+    /** Queue a job; the returned future is invalid once closed. */
+    std::future<JobResult> enqueue(const QuerySpec &spec,
+                                   std::uint64_t requestId);
+
+    /** Count an error and build its {"ok":false} reply fragment. */
+    JobResult errorResult(const std::string &message);
+
+    /**
+     * Evaluate one query and build its reply fragment; every query
+     * reply is built here. `lookup` is a resident hit the caller
+     * holds; empty, the model is acquired (and maybe compiled) here.
+     */
+    JobResult serveQuery(const QuerySpec &spec, std::uint64_t requestId,
+                         std::optional<CacheLookup> lookup);
 
     /** Reap finished session threads (acceptor housekeeping). */
     void reapSessions(bool joinAll);

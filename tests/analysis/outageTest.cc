@@ -4,7 +4,9 @@
  * against the discrete-event renewal simulator.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -158,14 +160,41 @@ TEST(Outage, ContributionsSumToTotalAndRank)
     }
     EXPECT_NEAR(total, profile.outagesPerYear(), 1e-9);
     EXPECT_NEAR(share, 1.0, 1e-9);
-    // Descending order.
+    // Descending order, up to the 1e-10 relative window inside which
+    // tied components rank in id order.
     for (std::size_t i = 1; i < contributions.size(); ++i) {
         EXPECT_GE(contributions[i - 1].outagesPerYear,
-                  contributions[i].outagesPerYear);
+                  contributions[i].outagesPerYear * (1.0 - 1e-10));
     }
     // The single rack initiates most Small-topology CP outages when
     // every component shares one MTBF.
     EXPECT_EQ(contributions.front().name, "rack0");
+}
+
+TEST(Outage, SymmetricComponentsRankInIdOrder)
+{
+    // The `sdnav_cli outage --topology small` ranking: each role's
+    // three supervisors, and the three VMs, are interchangeable, so
+    // their outage rates tie up to rounding and must rank
+    // consecutively in id order.
+    auto system = model::buildExactSystem(
+        fmea::openContrail3(), topology::smallTopology(),
+        model::SupervisorPolicy::Required, model::SwParams{},
+        fmea::Plane::ControlPlane);
+    auto ranking = outageContributions(system, classifyMtbfs(system));
+    for (const std::string prefix : {"supervisor-Database-", "vm"}) {
+        auto first = std::find_if(ranking.begin(), ranking.end(),
+                                  [&](const OutageContribution &c) {
+                                      return c.name == prefix + "0";
+                                  });
+        ASSERT_GE(std::distance(first, ranking.end()), 3) << prefix;
+        for (int node = 0; node < 3; ++node) {
+            EXPECT_EQ(first[node].name, prefix + std::to_string(node))
+                << "rank " << (first - ranking.begin()) + node + 1;
+        }
+        EXPECT_LT(first[0].component, first[1].component);
+        EXPECT_LT(first[1].component, first[2].component);
+    }
 }
 
 TEST(Outage, ClassifiedMtbfsFollowNames)

@@ -1,6 +1,8 @@
 #include "server/modelCache.hh"
 
 #include <atomic>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -40,6 +42,70 @@ TEST(ModelCache, MissThenHit)
     EXPECT_EQ(cache.hits(), 1u);
     EXPECT_EQ(cache.misses(), 1u);
     EXPECT_EQ(cache.entryCount(), 1u);
+}
+
+TEST(ModelCache, TryAcquireServesOnlyResidentModels)
+{
+    ModelCache cache(2);
+    // Absent: nothing returned, nothing counted, nothing compiled.
+    EXPECT_FALSE(cache.tryAcquire(spec("opencontrail", 1)).has_value());
+    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_EQ(cache.misses(), 0u);
+    EXPECT_EQ(cache.entryCount(), 0u);
+
+    CacheLookup compiled = cache.acquire(spec("opencontrail", 1));
+    cache.acquire(spec("raft", 1));
+    std::optional<CacheLookup> resident =
+        cache.tryAcquire(spec("opencontrail", 1));
+    ASSERT_TRUE(resident.has_value());
+    EXPECT_TRUE(resident->hit);
+    EXPECT_FALSE(resident->coalesced);
+    EXPECT_EQ(resident->model.get(), compiled.model.get());
+    // Counted and LRU-bumped exactly like an acquire() hit.
+    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(cache.misses(), 2u);
+    EXPECT_EQ(cache.keysMostRecentFirst().front(),
+              spec("opencontrail", 1).modelKey());
+}
+
+TEST(ModelCache, TryAcquireNeverWaitsOnAnInFlightCompile)
+{
+    ModelCache cache(2);
+    // OpenContrail Large x6 compiles for minutes; the wall deadline
+    // ends it, and the node cap bounds its memory if that comes first.
+    cache.setCompileBudget(bdd::StepBudget{1000.0, 3000000});
+    QuerySpec runaway;
+    runaway.topology = "large";
+    runaway.nodes = 6;
+    std::string compilerError;
+    std::thread compiler([&] {
+        try {
+            cache.acquire(runaway);
+        } catch (const bdd::BudgetExceeded &e) {
+            compilerError = e.what();
+        }
+    });
+    // In flight: listed in the LRU, not yet resident.
+    while (cache.keysMostRecentFirst().empty())
+        std::this_thread::yield();
+    EXPECT_EQ(cache.entryCount(), 0u);
+    EXPECT_FALSE(cache.tryAcquire(runaway).has_value());
+    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_EQ(cache.misses(), 1u);
+
+    // A coalesced waiter gets the compile's failure as its own
+    // exception, with the identical message.
+    std::string waiterError;
+    try {
+        cache.acquire(runaway);
+    } catch (const bdd::BudgetExceeded &e) {
+        waiterError = e.what();
+    }
+    compiler.join();
+    EXPECT_FALSE(compilerError.empty());
+    EXPECT_EQ(waiterError, compilerError);
+    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(cache.entryCount(), 0u);
 }
 
 TEST(ModelCache, HitAnswersAreBitIdenticalToColdCompile)

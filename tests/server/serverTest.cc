@@ -93,6 +93,223 @@ TEST(Server, SingleQueryMatchesDirectModelEvaluation)
     srv.wait();
 }
 
+/** Session-served hits so far (process-wide; tests use deltas). */
+std::uint64_t
+sessionServed()
+{
+    return obs::Registry::global().counter("server.session_served").value();
+}
+
+/** Every record of a JSONL request log, in append order. */
+std::vector<json::Value>
+readRequestLog(const std::string &path)
+{
+    std::ifstream in(path);
+    std::vector<json::Value> records;
+    std::string line;
+    while (std::getline(in, line))
+        records.push_back(json::parse(line));
+    return records;
+}
+
+TEST(Server, SessionServedHitEqualsPoolReplyAndDirectEvaluation)
+{
+    Server srv(testOptions());
+    srv.start();
+    LineClient client;
+    client.connect(srv.port());
+
+    const std::string line =
+        R"({"id":1,"catalog":"opencontrail","topology":"small",)"
+        R"("nodes":3,"params":{"a":0.9993,"av":0.9991}})";
+    std::uint64_t before = sessionServed();
+    json::Value pooled = roundTrip(client, line);
+    ASSERT_TRUE(pooled.at("ok").asBool()) << pooled.dump();
+    EXPECT_EQ(pooled.at("cache").asString(), "miss");
+    EXPECT_EQ(sessionServed(), before);
+
+    json::Value inline_ = roundTrip(client, line);
+    ASSERT_TRUE(inline_.at("ok").asBool()) << inline_.dump();
+    EXPECT_EQ(inline_.at("cache").asString(), "hit");
+    EXPECT_EQ(sessionServed(), before + 1);
+
+    auto catalog = fmea::openContrail3();
+    model::ExactPlaneModel direct(
+        catalog, topology::smallTopology(catalog.roles().size(), 3),
+        model::SupervisorPolicy::Required, fmea::Plane::ControlPlane,
+        {});
+    model::SwParams params;
+    params.processAvailability = 0.9993;
+    params.vmAvailability = 0.9991;
+    // 0 ulp: the same frozen diagram, evaluated by the same kernel.
+    EXPECT_EQ(inline_.at("availability").asNumber(),
+              pooled.at("availability").asNumber());
+    EXPECT_EQ(inline_.at("availability").asNumber(),
+              direct.availability(params));
+
+    // Scrapers see how many queries skipped the pool.
+    json::Value metrics = roundTrip(client, R"({"cmd":"metrics"})");
+    EXPECT_NE(metrics.at("metrics").asString().find(
+                  "server_session_served_total"),
+              std::string::npos);
+
+    srv.requestStop();
+    srv.wait();
+}
+
+TEST(Server, BatchOfResidentKeysStillRunsOnThePool)
+{
+    Server srv(testOptions());
+    srv.start();
+    LineClient client;
+    client.connect(srv.port());
+
+    // Prime both keys, then ask for them again one by one (hits).
+    std::vector<double> singles;
+    for (int pass = 0; pass < 2; ++pass) {
+        singles.clear();
+        for (const char *catalog : {"opencontrail", "raft"}) {
+            json::Value reply = roundTrip(client, cheapQuery(1, catalog));
+            ASSERT_TRUE(reply.at("ok").asBool()) << reply.dump();
+            singles.push_back(reply.at("availability").asNumber());
+        }
+    }
+
+    std::uint64_t before = sessionServed();
+    json::Value reply = roundTrip(
+        client,
+        R"({"id":2,"queries":[)"
+        R"({"catalog":"opencontrail","topology":"small","nodes":1},)"
+        R"({"catalog":"raft","topology":"small","nodes":1}]})");
+    ASSERT_TRUE(reply.at("ok").asBool()) << reply.dump();
+    const json::Value::Array &results = reply.at("results").asArray();
+    ASSERT_EQ(results.size(), 2u);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        EXPECT_EQ(results[i].at("cache").asString(), "hit");
+        EXPECT_EQ(results[i].at("availability").asNumber(), singles[i]);
+    }
+    // Batch items are pool work even when every key is resident.
+    EXPECT_EQ(sessionServed(), before);
+
+    srv.requestStop();
+    srv.wait();
+}
+
+TEST(Server, HitIsAnsweredWhileTheOnlyWorkerCompiles)
+{
+    std::string path = testing::TempDir() + "/sdnav_session_log_" +
+                       std::to_string(::getpid()) + ".jsonl";
+    std::remove(path.c_str());
+
+    ServerOptions options = testOptions();
+    options.workers = 1;
+    options.requestLogPath = path;
+    // OpenContrail Large x6 compiles for minutes: the wall deadline
+    // ends it, and the node cap bounds its memory if that comes first.
+    options.compileBudgetMs = 1000.0;
+    options.compileNodeCap = 3000000;
+    std::string hitKey;
+    {
+        Server srv(options);
+        srv.start();
+        LineClient b;
+        b.connect(srv.port());
+        json::Value primed = roundTrip(b, cheapQuery(1));
+        ASSERT_TRUE(primed.at("ok").asBool()) << primed.dump();
+        hitKey = primed.at("model_key").asString();
+
+        // Connection A occupies the only worker with a runaway
+        // compile; the hit from B must not wait for it.
+        std::atomic<int> order{0};
+        int orderA = 0;
+        int orderB = 0;
+        json::Value replyA;
+        std::thread a([&] {
+            LineClient client;
+            client.connect(srv.port());
+            replyA = roundTrip(client,
+                               R"({"id":7,"catalog":"opencontrail",)"
+                               R"("topology":"large","nodes":6})");
+            orderA = ++order;
+        });
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        json::Value hit = roundTrip(b, cheapQuery(2));
+        orderB = ++order;
+        a.join();
+
+        ASSERT_TRUE(hit.at("ok").asBool()) << hit.dump();
+        EXPECT_EQ(hit.at("cache").asString(), "hit");
+        EXPECT_TRUE(replyA.at("budget_exceeded").asBool())
+            << replyA.dump();
+        EXPECT_LT(orderB, orderA);
+        srv.requestStop();
+        srv.wait();
+    }
+
+    std::vector<json::Value> records = readRequestLog(path);
+    ASSERT_EQ(records.size(), 3u);
+    const json::Value *hitRecord = nullptr;
+    for (const json::Value &record : records)
+        if (record.at("key").asString() == hitKey &&
+            record.at("cache").asString() == "hit")
+            hitRecord = &record;
+    ASSERT_NE(hitRecord, nullptr);
+    EXPECT_EQ(hitRecord->at("queue_wait_ms").asNumber(), 0.0);
+    EXPECT_EQ(hitRecord->at("outcome").asString(), "ok");
+    std::remove(path.c_str());
+}
+
+TEST(Server, PipelinedBurstIsAnsweredInOrderAndResyncs)
+{
+    ServerOptions options = testOptions();
+    options.maxLineBytes = 512;
+    Server srv(options);
+    srv.start();
+    LineClient client;
+    client.connect(srv.port());
+    std::uint64_t oversizedBefore =
+        obs::Registry::global().counter("server.oversized_lines").value();
+
+    // 2,000 lines in one send: pings and queries, plus one line far
+    // past the limit (longer than a receive chunk, so it is caught
+    // mid-line) in the middle.
+    constexpr int kLines = 2000;
+    constexpr int kOversized = 1000;
+    std::string burst;
+    for (int i = 0; i < kLines; ++i) {
+        if (i == kOversized)
+            burst += std::string(10000, 'x');
+        else if (i % 2 == 0)
+            burst += R"({"cmd":"ping","id":)" + std::to_string(i) + "}";
+        else
+            burst += cheapQuery(i);
+        burst += "\n";
+    }
+    // Send from another thread: the replies must be read while the
+    // burst is still going out, or both socket buffers fill.
+    std::thread sender([&] { client.sendRaw(burst); });
+    for (int i = 0; i < kLines; ++i) {
+        json::Value reply = json::parse(client.recvLine());
+        if (i == kOversized) {
+            EXPECT_FALSE(reply.at("ok").asBool());
+            EXPECT_NE(reply.at("error").asString().find("exceeds"),
+                      std::string::npos);
+            continue;
+        }
+        ASSERT_TRUE(reply.at("ok").asBool()) << i << ": " << reply.dump();
+        ASSERT_EQ(reply.at("id").asNumber(), static_cast<double>(i));
+        EXPECT_EQ(reply.contains("pong"), i % 2 == 0) << i;
+    }
+    sender.join();
+    EXPECT_EQ(obs::Registry::global()
+                  .counter("server.oversized_lines")
+                  .value(),
+              oversizedBefore + 1);
+
+    srv.requestStop();
+    srv.wait();
+}
+
 TEST(Server, MalformedLinesErrorThatRequestOnly)
 {
     Server srv(testOptions());
