@@ -118,7 +118,7 @@ printReport()
             compile_ms);
         bdd_table.addRow(
             {std::to_string(tolerated), std::to_string(nodes),
-             std::to_string(engine.system().componentCount()),
+             std::to_string(engine.componentCount()),
              std::to_string(engine.bddNodeCount()),
              formatFixed(compile_ms, 2),
              formatFixed(availabilityToDowntimeMinutesPerYear(dp),
@@ -126,7 +126,7 @@ printReport()
         bdd_csv.addRow(
             std::to_string(tolerated),
             {static_cast<double>(nodes),
-             static_cast<double>(engine.system().componentCount()),
+             static_cast<double>(engine.componentCount()),
              static_cast<double>(engine.bddNodeCount()), dp});
     }
     std::cout << bdd_table.str() << "\n";

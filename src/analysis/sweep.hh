@@ -10,6 +10,13 @@
  * grid order and bit-identical for any thread count: result i
  * depends only on eval(i), never on scheduling.
  *
+ * The calling thread works on the grid alongside persistent helper
+ * threads that sleep between sweeps. A sweep repeated on the same
+ * thread count runs on the same helpers, so a `thread_local` scratch
+ * in eval is built once per worker, not once per sweep. A sweep may
+ * be started from inside another sweep's eval, or from several
+ * threads at once.
+ *
  * Callers must make eval(i) depend only on i and on state that is
  * safe to read concurrently (the analytic models are const-evaluable
  * after construction; see SwAvailabilityModel and ExactPlaneModel).

@@ -482,16 +482,23 @@ BddManager::freeze(NodeRef f) const
 
     FrozenDiagram out;
     std::size_t n = order.size();
-    out.var_.resize(n);
     out.low_.resize(n);
     out.high_.resize(n);
     for (std::size_t k = 0; k < n; ++k) {
         const Node &node = nodes_[order[k]];
-        out.var_[k] = node.var;
         out.low_[k] = slot[node.low];
         out.high_[k] = slot[node.high];
+    }
+    // level_start[level] now holds one past the level's last slot;
+    // an empty level ends where the one below it did.
+    for (std::size_t level = variable_count_; level-- > 0;) {
+        if (level_start[level] == out.levelStart_.back())
+            continue;
+        unsigned v = var_at_level_[level];
+        out.levelVar_.push_back(v);
+        out.levelStart_.push_back(level_start[level]);
         out.variableBound_ =
-            std::max<std::size_t>(out.variableBound_, node.var + 1u);
+            std::max<std::size_t>(out.variableBound_, v + 1u);
     }
     out.root_ = slot[f];
     return out;
@@ -510,13 +517,14 @@ FrozenDiagram::forward(std::span<const double> probs, double *value,
     // 0 ulp against a reference evaluator that uses the same ones.
     value[falseNode] = falseValue;
     value[trueNode] = trueValue;
-    const std::uint32_t *var = var_.data();
     const std::uint32_t *low = low_.data();
     const std::uint32_t *high = high_.data();
-    const double *p_of = probs.data();
-    for (std::size_t k = 0, n = var_.size(); k < n; ++k) {
-        double p = p_of[var[k]];
-        value[k + 2] = p * value[high[k]] + (1.0 - p) * value[low[k]];
+    for (std::size_t r = 0; r < levelVar_.size(); ++r) {
+        const double p = probs[levelVar_[r]];
+        const double q = 1.0 - p;
+        for (std::size_t k = levelStart_[r], end = levelStart_[r + 1];
+             k < end; ++k)
+            value[k + 2] = p * value[high[k]] + q * value[low[k]];
     }
 }
 
@@ -528,7 +536,7 @@ FrozenDiagram::probability(std::span<const double> probs,
         obs::Registry::global().counter("bdd.prob_evals");
     evals.add();
     PageVector<double> &value = scratch.value_;
-    value.resize(var_.size() + 2);
+    value.resize(nodeCount() + 2);
     forward(probs, value.data(), 0.0, 1.0);
     return value[root_];
 }
@@ -540,7 +548,7 @@ FrozenDiagram::gradient(std::span<const double> probs,
 {
     // The scratch holds the failure probabilities u in its first
     // half and the adjoints in its second.
-    const std::size_t slots = var_.size() + 2;
+    const std::size_t slots = nodeCount() + 2;
     PageVector<double> &value = scratch.value_;
     value.resize(2 * slots);
     double *u = value.data();
@@ -551,13 +559,20 @@ FrozenDiagram::gradient(std::span<const double> probs,
     grad.assign(probs.size(), 0.0);
 
     // Parents before children: every parent sits at a higher slot, so
-    // a node's adjoint is complete when the loop reaches it.
-    for (std::size_t k = var_.size(); k-- > 0;) {
-        double a = adjoint[k + 2];
-        double p = probs[var_[k]];
-        grad[var_[k]] += a * (u[low_[k]] - u[high_[k]]);
-        adjoint[high_[k]] += a * p;
-        adjoint[low_[k]] += a * (1.0 - p);
+    // a node's adjoint is complete when the loop reaches it. Only one
+    // run tests a variable, so summing its terms in a local adds them
+    // in the same order as summing them into grad.
+    for (std::size_t r = levelVar_.size(); r-- > 0;) {
+        const double p = probs[levelVar_[r]];
+        const double q = 1.0 - p;
+        double g = 0.0;
+        for (std::size_t k = levelStart_[r + 1]; k-- > levelStart_[r];) {
+            double a = adjoint[k + 2];
+            g += a * (u[low_[k]] - u[high_[k]]);
+            adjoint[high_[k]] += a * p;
+            adjoint[low_[k]] += a * q;
+        }
+        grad[levelVar_[r]] = g;
     }
 }
 

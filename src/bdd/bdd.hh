@@ -182,11 +182,17 @@ class ProbabilityScratch;
  * produced: for OpenContrail on the Large topology only about a fifth
  * of the arena is reachable from the root. BddManager::freeze() copies
  * out just the reachable nodes, renumbered level by level from the
- * bottom so that every child precedes its parents, as three 32-bit
- * arrays (variable, low child, high child). Value slots 0 and 1 are
- * the false and true terminals and node k is slot k + 2, so
- * evaluation is one forward pass over the arrays: no visited flags,
- * no stack, no per-arena initialisation.
+ * bottom so that every child precedes its parents, as two 32-bit
+ * arrays (low child, high child). Value slots 0 and 1 are the false
+ * and true terminals and node k is slot k + 2, so evaluation is one
+ * forward pass over the arrays: no visited flags, no stack, no
+ * per-arena initialisation.
+ *
+ * Each level holds exactly one variable, so the nodes of a level
+ * form one run of consecutive slots that all test the same variable.
+ * The diagram stores one (first node, variable) pair per non-empty
+ * level instead of a variable per node: the pass loads p and 1 - p
+ * once per run, and streams 8 bytes of index per node.
  *
  * The diagram owns its arrays and shares nothing with the manager
  * that froze it, so the manager can be destroyed once frozen. It is
@@ -234,7 +240,7 @@ class FrozenDiagram
                   std::vector<double> &grad) const;
 
     /** Number of (non-terminal) nodes in the diagram. */
-    std::size_t nodeCount() const { return var_.size(); }
+    std::size_t nodeCount() const { return low_.size(); }
 
   private:
     friend class BddManager;
@@ -246,10 +252,15 @@ class FrozenDiagram
     void forward(std::span<const double> probs, double *value,
                  double falseValue, double trueValue) const;
 
-    // Node k's variable and the value slots of its children.
-    std::vector<std::uint32_t> var_;
+    // The value slots of node k's children.
     std::vector<std::uint32_t> low_;
     std::vector<std::uint32_t> high_;
+
+    // Level runs, bottom level first: nodes levelStart_[r] up to
+    // levelStart_[r + 1] all test variable levelVar_[r]. levelStart_
+    // has one entry more than levelVar_, the node count.
+    std::vector<std::uint32_t> levelStart_{0};
+    std::vector<std::uint32_t> levelVar_;
 
     /** Value slot of the root (0 or 1 for a constant). */
     std::uint32_t root_ = 0;

@@ -248,39 +248,18 @@ exactPlaneAvailability(const fmea::ControllerCatalog &catalog,
         .availabilityExact();
 }
 
-namespace
-{
-
-/**
- * Helper so ExactPlaneModel's members initialize in one pass:
- * system_ and classes_ come out of the same build.
- */
-rbd::RbdSystem
-buildWithClasses(const fmea::ControllerCatalog &catalog,
-                 const topology::DeploymentTopology &topo,
-                 SupervisorPolicy policy, Plane plane,
-                 ExactVariableOrder order,
-                 std::vector<ExactComponentClass> &classes)
-{
-    // The table availabilities are placeholders (paper defaults);
-    // evaluation always rebuilds the probability vector from the
-    // classes and the caller's params.
-    return buildExactSystem(catalog, topo, policy, SwParams{}, plane,
-                            &classes, order);
-}
-
-} // anonymous namespace
-
 ExactPlaneModel::ExactPlaneModel(const fmea::ControllerCatalog &catalog,
                                  const topology::DeploymentTopology &topo,
                                  SupervisorPolicy policy, Plane plane,
                                  const Options &options)
-    : system_(buildWithClasses(catalog, topo, policy, plane,
-                               options.order, classes_)),
-      diagram_(rbd::compileFrozen(system_,
-                                  {options.reorderBdd,
-                                   options.reorderOptions,
-                                   options.budget})
+    // The table availabilities are placeholders (paper defaults);
+    // evaluation always rebuilds the probability vector from the
+    // classes and the caller's params.
+    : diagram_(rbd::compileFrozen(
+                   buildExactSystem(catalog, topo, policy, SwParams{},
+                                    plane, &classes_, options.order),
+                   {options.reorderBdd, options.reorderOptions,
+                    options.budget})
                    .diagram)
 {
 }

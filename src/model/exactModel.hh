@@ -170,8 +170,8 @@ class ExactPlaneModel
     double availability(const SwParams &params,
                         bdd::ProbabilityScratch &scratch) const;
 
-    /** The underlying component table and structure tree. */
-    const rbd::RbdSystem &system() const { return system_; }
+    /** Components (BDD variables) of the structure function. */
+    std::size_t componentCount() const { return classes_.size(); }
 
     /** Compiled diagram size (reachable nodes). */
     std::size_t bddNodeCount() const { return diagram_.nodeCount(); }
@@ -183,10 +183,9 @@ class ExactPlaneModel
     std::size_t totalBddNodes() const { return diagram_.nodeCount(); }
 
   private:
-    // Declaration order is load-bearing: system_'s initializer fills
-    // classes_, and diagram_ is compiled from system_.
+    // Declaration order is load-bearing: diagram_'s initializer fills
+    // classes_.
     std::vector<ExactComponentClass> classes_;
-    rbd::RbdSystem system_;
     bdd::FrozenDiagram diagram_;
 };
 

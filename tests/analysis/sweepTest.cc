@@ -18,6 +18,7 @@
 #include "analysis/sweep.hh"
 #include "fmea/openContrail.hh"
 #include "model/exactModel.hh"
+#include "topology/deployment.hh"
 
 namespace
 {
@@ -156,6 +157,39 @@ TEST(Sweep, OneFrozenModelServesEightThreads)
     auto serial = sweepGrid(200, point, withThreads(1));
     auto eight = sweepGrid(200, point, withThreads(8));
     EXPECT_TRUE(serial == eight);
+}
+
+TEST(Sweep, RepeatedSweepsOnPersistentWorkersStayBitIdentical)
+{
+    // The workers and their thread_local scratch outlive each sweep.
+    // Alternate two diagrams of different sizes through the same
+    // scratches for 20 rounds: every round must equal the serial run.
+    using namespace sdnav;
+    auto raft = fmea::raftStyleController();
+    model::ExactPlaneModel small(
+        fmea::openContrail3(), topology::smallTopology(),
+        model::SupervisorPolicy::Required, fmea::Plane::ControlPlane);
+    model::ExactPlaneModel large(
+        raft, topology::largeTopology(raft.roles().size(), 5),
+        model::SupervisorPolicy::Required, fmea::Plane::ControlPlane);
+    auto sweep = [](const model::ExactPlaneModel &m, std::size_t threads) {
+        return sweepGrid(
+            64,
+            [&](std::size_t i) {
+                thread_local bdd::ProbabilityScratch scratch;
+                return m.availability(
+                    model::SwParams{}.withDowntimeShift(
+                        0.03 * static_cast<double>(i) - 1.0),
+                    scratch);
+            },
+            withThreads(threads));
+    };
+    auto serial_small = sweep(small, 1);
+    auto serial_large = sweep(large, 1);
+    for (int round = 0; round < 20; ++round) {
+        EXPECT_TRUE(sweep(small, 4) == serial_small) << "round " << round;
+        EXPECT_TRUE(sweep(large, 4) == serial_large) << "round " << round;
+    }
 }
 
 TEST(Sweep, SensitivityBitIdenticalAcrossThreadCounts)

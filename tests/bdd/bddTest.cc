@@ -647,6 +647,78 @@ TEST(Bdd, ReorderKeepsRootedRefsDenotingTheSameFunction)
     m.removeRoot(g);
 }
 
+TEST(Bdd, FrozenDiagramSkipsLevelsWithoutNodes)
+{
+    // x0 & x7 has nodes on levels 0 and 7 only. With dyadic
+    // probabilities every result is exact: P = p0 p7, and the
+    // Birnbaum importance of x0 is p7 and of x7 is p0.
+    BddManager m;
+    NodeRef f = m.andOp(m.var(0), m.var(7));
+    std::vector<double> probs{0.75, 0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.5};
+    ProbabilityScratch scratch;
+    FrozenDiagram frozen = m.freeze(f);
+    EXPECT_EQ(frozen.nodeCount(), 2u);
+    expectSameBits(frozen.probability(probs, scratch),
+                   referenceProbability(m, f, probs));
+    expectSameBits(frozen.probability(probs, scratch), 0.375);
+    std::vector<double> grad;
+    frozen.gradient(probs, scratch, grad);
+    std::vector<double> expected(8, 0.0);
+    expected[0] = 0.5;
+    expected[7] = 0.75;
+    ASSERT_EQ(grad.size(), expected.size());
+    for (std::size_t i = 0; i < grad.size(); ++i)
+        expectSameBits(grad[i], expected[i]);
+}
+
+TEST(Bdd, FrozenSiftedDiagramMatchesItsNaturalOrderTwin)
+{
+    // After sifting, variable v sits on some other level. A twin
+    // manager builds the same function with v renamed to its level,
+    // so its order is the natural one and its diagram has the same
+    // shape and freeze layout; only the variable each level tests
+    // differs. Probability and gradient must agree to the bit.
+    auto build = [](BddManager &m, auto name) {
+        NodeRef pairs = falseNode;
+        for (unsigned i = 0; i < 4; ++i)
+            pairs = m.orOp(pairs,
+                           m.andOp(m.var(name(i)), m.var(name(i + 4))));
+        std::vector<NodeRef> vars;
+        for (unsigned i = 0; i < 8; ++i)
+            vars.push_back(m.var(name(i)));
+        return m.xorOp(pairs, m.atLeast(vars, 3));
+    };
+    BddManager m;
+    NodeRef f = build(m, [](unsigned v) { return v; });
+    m.addRoot(f);
+    m.reorderSifting();
+    bool permuted = false;
+    for (unsigned v = 0; v < 8; ++v)
+        permuted = permuted || m.levelOfVariable(v) != v;
+    ASSERT_TRUE(permuted);
+
+    BddManager twin;
+    NodeRef g = build(twin, [&](unsigned v) { return m.levelOfVariable(v); });
+    std::vector<double> probs{0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2};
+    std::vector<double> twin_probs(8);
+    for (unsigned v = 0; v < 8; ++v)
+        twin_probs[m.levelOfVariable(v)] = probs[v];
+
+    ProbabilityScratch scratch;
+    expectFrozenMatchesReference(m, f, probs, scratch);
+    FrozenDiagram sifted = m.freeze(f);
+    FrozenDiagram natural = twin.freeze(g);
+    EXPECT_EQ(sifted.nodeCount(), natural.nodeCount());
+    expectSameBits(sifted.probability(probs, scratch),
+                   natural.probability(twin_probs, scratch));
+    std::vector<double> grad, twin_grad;
+    sifted.gradient(probs, scratch, grad);
+    natural.gradient(twin_probs, scratch, twin_grad);
+    for (unsigned v = 0; v < 8; ++v)
+        expectSameBits(grad[v], twin_grad[m.levelOfVariable(v)]);
+    m.removeRoot(f);
+}
+
 TEST(Bdd, NodeCapBudgetAbortsABigBuild)
 {
     BddManager m;

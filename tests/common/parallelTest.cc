@@ -2,7 +2,8 @@
  * @file
  * Tests for the parallelFor executor that the sweep and the
  * simulation replications share: range coverage, worker counts, busy
- * times, and abort-on-first-error.
+ * times, abort-on-first-error, and the persistent helpers (reused
+ * across calls, safe to nest and to call from several threads).
  */
 
 #include <atomic>
@@ -125,6 +126,93 @@ TEST(Parallel, FailureAbortsRemainingChunks)
         EXPECT_LT(executed.load(), n / 2)
             << "chunk=" << chunk << ": workers drained the range";
     }
+}
+
+/** Run parallelFor and count how often each index was visited. */
+std::vector<int>
+visitCounts(std::size_t n, std::size_t threads, std::size_t chunk,
+            ParallelRun *run = nullptr)
+{
+    std::vector<std::atomic<int>> visits(n);
+    ParallelRun result = parallelFor(
+        n, threads, chunk, [&](std::size_t begin, std::size_t end) {
+            for (std::size_t i = begin; i < end; ++i)
+                ++visits[i];
+        });
+    if (run)
+        *run = result;
+    return std::vector<int>(visits.begin(), visits.end());
+}
+
+TEST(Parallel, RepeatedCallsReuseTheSameWorkers)
+{
+    // Grow the pool past four workers first: a call on four threads
+    // must still land on the same three helpers every time.
+    visitCounts(64, 8, 1);
+    struct PerThread
+    {
+        explicit PerThread(std::atomic<int> &count) { ++count; }
+    };
+    static std::atomic<int> constructed{0};
+    std::mutex mutex;
+    std::set<std::thread::id> seen;
+    for (int call = 0; call < 50; ++call) {
+        parallelFor(64, 4, 1, [&](std::size_t, std::size_t) {
+            static thread_local PerThread state(constructed);
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
+            std::lock_guard<std::mutex> lock(mutex);
+            seen.insert(std::this_thread::get_id());
+        });
+    }
+    EXPECT_LE(seen.size(), 4u);
+    EXPECT_LE(constructed.load(), 4);
+}
+
+TEST(Parallel, NestedCallCoversItsRange)
+{
+    const std::size_t outer = 8, inner = 100;
+    std::vector<std::atomic<int>> visits(outer * inner);
+    parallelFor(outer, 4, 1, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t o = begin; o < end; ++o) {
+            parallelFor(inner, 4, 3, [&](std::size_t b, std::size_t e) {
+                for (std::size_t i = b; i < e; ++i)
+                    ++visits[o * inner + i];
+            });
+        }
+    });
+    for (std::size_t i = 0; i < visits.size(); ++i)
+        EXPECT_EQ(visits[i].load(), 1) << "i=" << i;
+}
+
+TEST(Parallel, ConcurrentCallersEachGetExactCoverage)
+{
+    const std::size_t n = 5000;
+    std::vector<int> a, b;
+    std::thread other([&] {
+        for (int round = 0; round < 20; ++round)
+            a = visitCounts(n, 4, 7);
+    });
+    for (int round = 0; round < 20; ++round)
+        b = visitCounts(n, 3, 5);
+    other.join();
+    EXPECT_EQ(a, std::vector<int>(n, 1));
+    EXPECT_EQ(b, std::vector<int>(n, 1));
+}
+
+TEST(Parallel, CallAfterAFailureCoversItsRange)
+{
+    EXPECT_THROW(parallelFor(40, 4, 1,
+                             [](std::size_t begin, std::size_t) {
+                                 if (begin == 3)
+                                     throw std::runtime_error("fail");
+                             }),
+                 std::runtime_error);
+    ParallelRun run;
+    EXPECT_EQ(visitCounts(10, 4, 3, &run), std::vector<int>(10, 1));
+    EXPECT_EQ(run.chunks, 4u);
+    EXPECT_EQ(run.workerBusyMs.size(), 4u);
+    EXPECT_EQ(visitCounts(10, 8, 5, &run), std::vector<int>(10, 1));
+    EXPECT_EQ(run.workerBusyMs.size(), 2u);
 }
 
 } // anonymous namespace

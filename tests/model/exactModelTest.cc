@@ -330,8 +330,13 @@ TEST(ExactPlaneModelTest, GoldenModelsMatchReferenceEvaluationBitExactly)
         options.order = c.order;
         ExactPlaneModel model(c.catalog, c.topo, c.policy, c.plane,
                               options);
+        auto oracle = buildExactSystem(c.catalog, c.topo, c.policy,
+                                       SwParams{}, c.plane, nullptr,
+                                       c.order);
+        EXPECT_EQ(model.componentCount(), oracle.componentCount())
+            << c.label;
         sdnav::bdd::BddManager fresh;
-        sdnav::bdd::NodeRef root = model.system().compile(fresh);
+        sdnav::bdd::NodeRef root = oracle.compile(fresh);
         EXPECT_EQ(model.bddNodeCount(), fresh.nodeCount(root))
             << c.label;
         sdnav::bdd::ProbabilityScratch scratch;
