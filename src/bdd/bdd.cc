@@ -10,6 +10,17 @@
 namespace sdnav::bdd
 {
 
+namespace
+{
+
+/**
+ * Sifting abandons a direction once the live node count exceeds this
+ * multiple of the best size seen for the variable being moved.
+ */
+constexpr double kSiftMaxGrowth = 1.2;
+
+} // anonymous namespace
+
 BddManager::BddManager()
 {
     // Reserve slots 0 and 1 for the terminals. Their contents are
@@ -778,8 +789,6 @@ BddManager::swapAdjacentLevels(unsigned level)
 std::size_t
 BddManager::reorderSifting(const ReorderOptions &options)
 {
-    require(options.maxGrowth >= 1.0,
-            "reorderSifting(): maxGrowth must be >= 1");
     obs::TraceSpan trace_span("bdd.reorder",
                               static_cast<std::uint64_t>(liveNodes()));
     ++reorder_runs_;
@@ -840,7 +849,7 @@ BddManager::reorderSifting(const ReorderOptions &options)
                 best_level = cur;
             }
             if (static_cast<double>(size) >
-                static_cast<double>(best_size) * options.maxGrowth)
+                static_cast<double>(best_size) * kSiftMaxGrowth)
                 break;
         }
         while (cur > 0) {
@@ -852,7 +861,7 @@ BddManager::reorderSifting(const ReorderOptions &options)
                 best_level = cur;
             }
             if (static_cast<double>(size) >
-                static_cast<double>(best_size) * options.maxGrowth)
+                static_cast<double>(best_size) * kSiftMaxGrowth)
                 break;
         }
         while (cur < best_level) {

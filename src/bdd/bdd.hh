@@ -301,12 +301,6 @@ class ProbabilityScratch
 /** Tuning knobs for sifting-based dynamic variable reordering. */
 struct ReorderOptions
 {
-    /**
-     * Abort sifting a variable in one direction once the live node
-     * count exceeds this multiple of the best size seen for it.
-     */
-    double maxGrowth = 1.2;
-
     /** Sift only the this-many largest variables (0 = all). */
     std::size_t maxVars = 0;
 };

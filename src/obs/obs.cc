@@ -193,10 +193,13 @@ histBucketIndex(double value)
 {
     if (!(value > kHistMin)) // NaN and underflow both land at 0
         return 0;
-    int index = 1 + static_cast<int>(std::floor(
-                        std::log2(value / kHistMin) *
-                        kHistBucketsPerOctave));
-    return index >= kHistBuckets ? kHistBuckets - 1 : index;
+    double scaled = std::floor(std::log2(value / kHistMin) *
+                               kHistBucketsPerOctave);
+    // Clamp in double: +inf, and anything whose ratio to kHistMin
+    // overflows, scales to a value no int can hold.
+    if (scaled >= kHistBuckets - 2)
+        return kHistBuckets - 1;
+    return 1 + static_cast<int>(scaled);
 }
 
 /** Upper bound of a bucket, used as the quantile estimate. */

@@ -3,6 +3,7 @@
 #include <chrono>
 
 #include "common/error.hh"
+#include "common/parallel.hh"
 #include "obs/obs.hh"
 
 namespace sdnav::server
@@ -64,9 +65,39 @@ compileModel(const QuerySpec &spec, const bdd::StepBudget &budget)
         catalog, topo, spec.policy, spec.plane, options);
 }
 
+double
+elapsedMs(std::chrono::steady_clock::time_point since)
+{
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - since)
+        .count();
+}
+
+/** Holds one compile slot for its scope, on return and throw alike. */
+class CompileSlot
+{
+  public:
+    explicit CompileSlot(std::counting_semaphore<> &slots)
+        : slots_(slots)
+    {
+        slots_.acquire();
+    }
+
+    ~CompileSlot() { slots_.release(); }
+
+    CompileSlot(const CompileSlot &) = delete;
+    CompileSlot &operator=(const CompileSlot &) = delete;
+
+  private:
+    std::counting_semaphore<> &slots_;
+};
+
 } // anonymous namespace
 
-ModelCache::ModelCache(std::size_t capacity) : capacity_(capacity)
+ModelCache::ModelCache(std::size_t capacity, std::size_t compileSlots)
+    : capacity_(capacity),
+      compileSlots_(
+          static_cast<std::ptrdiff_t>(resolveThreads(compileSlots)))
 {
     require(capacity >= 1, "model cache capacity must be >= 1");
 }
@@ -114,31 +145,14 @@ ModelCache::touchLocked(EntryList::iterator entry)
     hitCounter().add();
 }
 
-std::optional<CacheLookup>
-ModelCache::tryAcquire(const QuerySpec &spec)
-{
-    std::shared_future<Compiled> future;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = index_.find(spec.modelKey());
-        if (it == index_.end() || !it->second->ready)
-            return std::nullopt;
-        touchLocked(it->second);
-        future = it->second->future;
-    }
-    // A ready entry's future already holds its model: no wait.
-    const Compiled &compiled = future.get();
-    return CacheLookup{compiled.model, true, false, compiled.compileMs};
-}
-
 CacheLookup
 ModelCache::acquire(const QuerySpec &spec)
 {
     std::string key = spec.modelKey();
-    std::promise<Compiled> promise;
+    // Engaged only on a miss, so a hit allocates no shared state.
+    std::optional<std::promise<Compiled>> promise;
     std::shared_future<Compiled> future;
     bdd::StepBudget budget;
-    bool compile = false;
     bool coalesced = false;
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -148,16 +162,16 @@ ModelCache::acquire(const QuerySpec &spec)
             future = it->second->future;
             coalesced = !it->second->ready;
         } else {
-            future = promise.get_future().share();
+            promise.emplace();
+            future = promise->get_future().share();
             lru_.push_front(Entry{key, future, false, 0});
             index_[key] = lru_.begin();
             ++misses_;
             budget = compileBudget_;
-            compile = true;
         }
     }
 
-    if (!compile) {
+    if (!promise) {
         // May be an in-flight compile: waiting here coalesces
         // concurrent misses onto one build.
         const Compiled &compiled = future.get();
@@ -167,10 +181,18 @@ ModelCache::acquire(const QuerySpec &spec)
     }
 
     missCounter().add();
-    auto t0 = std::chrono::steady_clock::now();
     std::shared_ptr<const model::ExactPlaneModel> model;
+    double slotWaitMs = 0.0;
+    double compileMs = 0.0;
     try {
+        auto t0 = std::chrono::steady_clock::now();
+        CompileSlot slot(compileSlots_);
+        slotWaitMs = elapsedMs(t0);
+        // The budget's wall clock starts inside compileModel(), so
+        // time spent waiting for the slot is not charged to it.
+        auto t1 = std::chrono::steady_clock::now();
         model = compileModel(spec, budget);
+        compileMs = elapsedMs(t1);
     } catch (...) {
         {
             std::lock_guard<std::mutex> lock(mutex_);
@@ -180,15 +202,12 @@ ModelCache::acquire(const QuerySpec &spec)
                 index_.erase(it);
             }
         }
-        promise.set_value(Compiled{nullptr, 0.0, Failure::current()});
+        promise->set_value(Compiled{nullptr, 0.0, Failure::current()});
         throw;
     }
-    double compileMs = std::chrono::duration<double, std::milli>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
-    // Fulfil the future before marking the entry ready, so that
-    // tryAcquire() never finds a ready entry it would wait on.
-    promise.set_value(Compiled{model, compileMs, std::nullopt});
+    // Fulfil the future before marking the entry ready, so that a
+    // hit never finds a ready entry it would wait on.
+    promise->set_value(Compiled{model, compileMs, std::nullopt});
     {
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = index_.find(key);
@@ -202,7 +221,7 @@ ModelCache::acquire(const QuerySpec &spec)
         evictOverCapacityLocked();
     }
     compileTimer().record(compileMs);
-    return {model, false, false, compileMs};
+    return {model, false, false, compileMs, slotWaitMs};
 }
 
 void

@@ -16,14 +16,17 @@
  * they never compiled). A failed compile reaches its waiters as a
  * value, and each waiter throws its own exception, so no exception
  * object is shared between threads. Concurrent misses on different
- * keys compile in parallel; each compile owns its own BddManager, so
- * builds are independent. Served models are shared_ptr, so an entry
- * evicted while a thread still evaluates it stays alive until
+ * keys compile in parallel, each in its own BddManager, but never
+ * more at once than the cache has compile slots: a miss publishes
+ * its in-flight entry first (so same-key misses coalesce onto it
+ * while it waits) and then blocks for a slot, which it holds until
+ * its compile returns or throws. Served models are shared_ptr, so an
+ * entry evicted while a thread still evaluates it stays alive until
  * released.
  *
- * The server's session threads call tryAcquire(), which serves only
- * resident models and never waits or compiles; everything else goes
- * to the worker pool, which calls acquire().
+ * The server answers every query through acquire() on the thread
+ * that read it; a hit takes the mutex once and neither waits nor
+ * allocates beyond the key string.
  *
  * Accounting: entryCount() never exceeds capacity, and
  * totalBddNodes() tracks the summed frozen-diagram size of the
@@ -41,6 +44,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <semaphore>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -67,31 +71,36 @@ struct CacheLookup
 
     /** Compile wall time of the model's original build. */
     double compileMs = 0.0;
+
+    /**
+     * How long this call waited for a compile slot; 0 on a hit or a
+     * coalesced wait, which take no slot.
+     */
+    double slotWaitMs = 0.0;
 };
 
 class ModelCache
 {
   public:
-    /** @param capacity Maximum resident models (>= 1). */
-    explicit ModelCache(std::size_t capacity);
+    /**
+     * @param capacity Maximum resident models (>= 1).
+     * @param compileSlots Most compiles running at once; 0 means one
+     *        per hardware thread (see resolveThreads()).
+     */
+    explicit ModelCache(std::size_t capacity,
+                        std::size_t compileSlots = 0);
 
     ModelCache(const ModelCache &) = delete;
     ModelCache &operator=(const ModelCache &) = delete;
 
     /**
      * Return the compiled model for a spec, compiling on miss and
-     * evicting the least recently used entry when over capacity.
+     * evicting the least recently used entry when over capacity. A
+     * miss waits for a compile slot before it compiles; a miss on a
+     * key already compiling waits for that compile instead.
      * Thread-safe; throws only what model compilation throws.
      */
     CacheLookup acquire(const QuerySpec &spec);
-
-    /**
-     * Return the model only when the spec's key is resident and its
-     * compile has finished; the hit counts and bumps the LRU exactly
-     * as in acquire(). Otherwise return nothing, count nothing, and
-     * neither wait nor compile.
-     */
-    std::optional<CacheLookup> tryAcquire(const QuerySpec &spec);
 
     /**
      * Set the compile budget applied to every subsequent miss
@@ -174,6 +183,9 @@ class ModelCache
 
     std::size_t capacity_;
     bdd::StepBudget compileBudget_{}; // guarded by mutex_
+
+    /** One permit per compile allowed to run at once. */
+    std::counting_semaphore<> compileSlots_;
 
     mutable std::mutex mutex_;
     EntryList lru_; // front = most recently used

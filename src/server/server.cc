@@ -13,6 +13,7 @@
 
 #include "bdd/bdd.hh"
 #include "common/error.hh"
+#include "common/parallel.hh"
 #include "common/version.hh"
 #include "obs/obs.hh"
 #include "obs/trace.hh"
@@ -58,22 +59,6 @@ connectionCounter()
     return c;
 }
 
-obs::Gauge &
-queueDepthGauge()
-{
-    static obs::Gauge &g =
-        obs::Registry::global().gauge("server.queue_depth");
-    return g;
-}
-
-obs::Gauge &
-queuePeakGauge()
-{
-    static obs::Gauge &g =
-        obs::Registry::global().gauge("server.queue_peak");
-    return g;
-}
-
 obs::Histogram &
 latencyHistogram()
 {
@@ -103,14 +88,6 @@ oversizedLineCounter()
 {
     static obs::Counter &c =
         obs::Registry::global().counter("server.oversized_lines");
-    return c;
-}
-
-obs::Counter &
-sessionServedCounter()
-{
-    static obs::Counter &c =
-        obs::Registry::global().counter("server.session_served");
     return c;
 }
 
@@ -154,65 +131,9 @@ sendAll(int fd, const std::string &data)
 
 } // anonymous namespace
 
-JobQueue::JobQueue(std::size_t capacity) : capacity_(capacity)
-{
-    require(capacity >= 1, "job queue capacity must be >= 1");
-}
-
-bool
-JobQueue::push(Job &&job)
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    notFull_.wait(lock, [this] {
-        return closed_ || jobs_.size() < capacity_;
-    });
-    if (closed_)
-        return false;
-    jobs_.push_back(std::move(job));
-    queueDepthGauge().set(static_cast<double>(jobs_.size()));
-    queuePeakGauge().setMax(static_cast<double>(jobs_.size()));
-    lock.unlock();
-    notEmpty_.notify_one();
-    return true;
-}
-
-bool
-JobQueue::pop(Job &job)
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    notEmpty_.wait(lock,
-                   [this] { return closed_ || !jobs_.empty(); });
-    if (jobs_.empty())
-        return false; // closed and fully drained
-    job = std::move(jobs_.front());
-    jobs_.pop_front();
-    queueDepthGauge().set(static_cast<double>(jobs_.size()));
-    lock.unlock();
-    notFull_.notify_one();
-    return true;
-}
-
-void
-JobQueue::close()
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        closed_ = true;
-    }
-    notFull_.notify_all();
-    notEmpty_.notify_all();
-}
-
-std::size_t
-JobQueue::depth() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return jobs_.size();
-}
-
 Server::Server(const ServerOptions &options)
-    : options_(options), cache_(options.cacheCapacity),
-      queue_(options.queueCapacity)
+    : options_(options),
+      cache_(options.cacheCapacity, options.resolvedWorkers())
 {
     require(options.maxLineBytes >= 64,
             "max line bytes must be >= 64");
@@ -281,11 +202,6 @@ Server::start()
 
     startTime_ = std::chrono::steady_clock::now();
     started_.store(true);
-
-    std::size_t workerCount = options_.resolvedWorkers();
-    workers_.reserve(workerCount);
-    for (std::size_t i = 0; i < workerCount; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
     acceptor_ = std::thread([this] { acceptLoop(); });
 }
 
@@ -309,19 +225,12 @@ Server::wait()
     if (!joined_.compare_exchange_strong(expected, true))
         return; // another wait() already ran the join sequence
 
-    // Shutdown order matters: sessions may still be waiting on
-    // worker futures, so workers stay alive until every session has
-    // written its final reply and exited. Only then does closing the
-    // queue let workers drain the remaining jobs and stop.
+    // Each session finishes the request it is answering, writes its
+    // reply and exits; joining them is the whole drain. The endpoint
+    // stays up until then so a scrape can still see it.
     if (acceptor_.joinable())
         acceptor_.join();
     reapSessions(true);
-    queue_.close();
-    for (std::thread &worker : workers_)
-        worker.join();
-    workers_.clear();
-    // The endpoint outlives the workers so a scrape can still see
-    // the drain; it stops before the listen socket goes away.
     promHttp_.stop();
     if (listenFd_ >= 0) {
         ::close(listenFd_);
@@ -574,7 +483,7 @@ Server::handleLine(const std::string &line, const std::string &peer)
     };
 
     if (request.kind == Request::Kind::Query) {
-        JobResult result = answerQuery(request.queries[0], requestId);
+        JobResult result = serveQuery(request.queries[0], requestId);
         account(result);
         settle();
         // Merge the result into the id-bearing envelope.
@@ -583,65 +492,24 @@ Server::handleLine(const std::string &line, const std::string &peer)
         return finish(reply.dump());
     }
 
-    // Fan the batch out to the worker pool, then collect the results
-    // in request order so replies stay deterministic.
-    std::vector<std::future<JobResult>> pending(request.queries.size());
+    // Items may run on any thread; results stay keyed by index, so
+    // replies keep request order.
     std::vector<JobResult> results(request.queries.size());
-    for (std::size_t i = 0; i < request.queries.size(); ++i) {
-        const ParsedQuery &item = request.queries[i];
-        if (!item.ok) {
-            results[i] = errorResult(item.error);
-            continue;
-        }
-        queries_.fetch_add(1, std::memory_order_relaxed);
-        queryCounter().add();
-        pending[i] = enqueue(item.spec, requestId);
-        if (!pending[i].valid())
-            results[i] = errorResult("server is shutting down");
-    }
+    parallelFor(results.size(), options_.resolvedWorkers(), 1,
+                [&](std::size_t begin, std::size_t end) {
+                    for (std::size_t i = begin; i < end; ++i)
+                        results[i] =
+                            serveQuery(request.queries[i], requestId);
+                });
     json::Value items = json::Value::makeArray();
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        if (pending[i].valid())
-            results[i] = pending[i].get();
-        account(results[i]);
-        items.push(std::move(results[i].reply));
+    for (JobResult &result : results) {
+        account(result);
+        items.push(std::move(result.reply));
     }
     settle();
     reply.set("ok", true);
     reply.set("results", std::move(items));
     return finish(reply.dump());
-}
-
-JobResult
-Server::answerQuery(const ParsedQuery &item, std::uint64_t requestId)
-{
-    if (!item.ok)
-        return errorResult(item.error);
-    queries_.fetch_add(1, std::memory_order_relaxed);
-    queryCounter().add();
-    // A resident model is evaluated right here, on the session
-    // thread. Anything that could compile or wait goes to the pool.
-    if (std::optional<CacheLookup> lookup = cache_.tryAcquire(item.spec)) {
-        sessionServedCounter().add();
-        return serveQuery(item.spec, requestId, std::move(lookup));
-    }
-    std::future<JobResult> pending = enqueue(item.spec, requestId);
-    if (!pending.valid())
-        return errorResult("server is shutting down");
-    return pending.get();
-}
-
-std::future<JobResult>
-Server::enqueue(const QuerySpec &spec, std::uint64_t requestId)
-{
-    Job job;
-    job.spec = spec;
-    job.requestId = requestId;
-    job.enqueueTime = std::chrono::steady_clock::now();
-    std::future<JobResult> pending = job.result.get_future();
-    if (!queue_.push(std::move(job)))
-        return {};
-    return pending;
 }
 
 JobResult
@@ -655,44 +523,37 @@ Server::errorResult(const std::string &message)
     return {std::move(failed), {}};
 }
 
-void
-Server::workerLoop()
-{
-    Job job;
-    while (queue_.pop(job)) {
-        double queueWaitMs = elapsedMs(job.enqueueTime);
-        JobResult result =
-            serveQuery(job.spec, job.requestId, std::nullopt);
-        result.telemetry.queueWaitMs = queueWaitMs;
-        job.result.set_value(std::move(result));
-    }
-}
-
 JobResult
-Server::serveQuery(const QuerySpec &spec, std::uint64_t requestId,
-                   std::optional<CacheLookup> lookup)
+Server::serveQuery(const ParsedQuery &item, std::uint64_t requestId)
 {
+    if (!item.ok)
+        return errorResult(item.error);
+    queries_.fetch_add(1, std::memory_order_relaxed);
+    queryCounter().add();
+    const QuerySpec &spec = item.spec;
     JobTelemetry telemetry;
     obs::TraceSpan job_span("server.job", requestId);
     json::Value result = json::Value::makeObject();
     try {
-        if (!lookup) {
+        CacheLookup lookup;
+        {
             obs::TraceSpan acquire_span("server.model_acquire",
                                         requestId);
             lookup = cache_.acquire(spec);
         }
-        if (!lookup->hit)
-            telemetry.compileMs = lookup->compileMs;
+        telemetry.queueWaitMs = lookup.slotWaitMs;
+        if (!lookup.hit)
+            telemetry.compileMs = lookup.compileMs;
         telemetry.cache =
-            lookup->hit ? (lookup->coalesced ? "coalesced" : "hit")
-                        : "miss";
+            lookup.hit ? (lookup.coalesced ? "coalesced" : "hit")
+                       : "miss";
         auto t0 = std::chrono::steady_clock::now();
         double availability;
         {
             obs::TraceSpan eval_span("server.eval", requestId);
             thread_local bdd::ProbabilityScratch scratch;
             availability =
-                lookup->model->availability(spec.params, scratch);
+                lookup.model->availability(spec.params, scratch);
         }
         double evalMs = elapsedMs(t0);
         evalTimer().record(evalMs);
@@ -703,7 +564,7 @@ Server::serveQuery(const QuerySpec &spec, std::uint64_t requestId,
         result.set("model_key", spec.modelKey());
         result.set("cache", telemetry.cache);
     } catch (const bdd::BudgetExceeded &e) {
-        // A budget abort is a per-request answer, not a worker
+        // A budget abort is a per-request answer, not a session
         // failure: report what the compile had consumed and move on.
         // Coalesced waiters throw their own copy and land here too.
         errors_.fetch_add(1, std::memory_order_relaxed);
@@ -777,12 +638,6 @@ Server::statsJson() const
     cache.set("bdd_nodes",
               static_cast<double>(cache_.totalBddNodes()));
     stats.set("cache", std::move(cache));
-
-    json::Value queue = json::Value::makeObject();
-    queue.set("depth", static_cast<double>(queue_.depth()));
-    queue.set("capacity", static_cast<double>(queue_.capacity()));
-    queue.set("peak", queuePeakGauge().value());
-    stats.set("queue", std::move(queue));
 
     obs::HistogramStats latency = latencyHistogram().stats();
     json::Value latencyDoc = json::Value::makeObject();

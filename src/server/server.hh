@@ -16,28 +16,25 @@
  * Architecture (one thread each unless noted):
  *
  *   acceptor ── accepts connections, reaps finished sessions
- *   session (per connection) ── reads lines, parses requests,
- *     evaluates a single query whose model is resident (a hit)
- *     itself, enqueues every other query job, assembles in-order
- *     reply lines
- *   worker (xN) ── pops jobs: misses (the compiles), waits on an
- *     in-flight compile of the same key, and every item of a
- *     "queries" batch; fulfills the session's futures
+ *   session (per connection) ── reads lines, parses requests, answers
+ *     each query itself through ModelCache::acquire(), writes reply
+ *     lines in request order; a "queries" batch runs its items on
+ *     parallelFor (common/parallel.hh) with up to `workers` threads
  *
- * So the worker count bounds compile concurrency and batch
- * parallelism, while a hit costs no thread handoff. The job queue is
- * bounded: a full queue blocks the enqueuing session (and therefore
- * stops reading its socket), so backpressure propagates to clients
- * through TCP instead of growing memory.
+ * So a hit costs no thread handoff, and the cache's compile slots,
+ * not a thread count, bound how many compiles run at once (at most
+ * `workers`). A session answers one line before it reads the next,
+ * so a client that pipelines faster than it is answered stalls in
+ * TCP flow control instead of growing server memory.
  *
  * Failure isolation: a malformed, oversized, or invalid request
  * yields a JSON error reply on that connection and nothing else —
- * the worker pool and other sessions are untouched; a mid-line
- * disconnect just ends that session.
+ * other sessions are untouched; a mid-line disconnect just ends
+ * that session.
  *
  * Graceful shutdown (SIGINT in sdnavd, or the "shutdown" command):
- * stop accepting, let sessions finish their current request, drain
- * every queued job through the workers, then join all threads.
+ * stop accepting, let each session finish the request it is
+ * answering, then join the acceptor and every session.
  */
 
 #ifndef SDNAV_SERVER_SERVER_HH
@@ -45,19 +42,16 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <future>
 #include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/json.hh"
+#include "common/parallel.hh"
 #include "server/modelCache.hh"
 #include "server/promHttp.hh"
 #include "server/protocol.hh"
@@ -72,11 +66,11 @@ struct ServerOptions
     /** Listen port; 0 picks an ephemeral port (see Server::port()). */
     std::uint16_t port = 0;
 
-    /** Worker threads; 0 = hardware concurrency. */
+    /**
+     * Most compiles running at once, and the threads that run one
+     * "queries" batch; 0 = hardware concurrency.
+     */
     std::size_t workers = 0;
-
-    /** Bounded job-queue capacity (backpressure threshold). */
-    std::size_t queueCapacity = 256;
 
     /** Compiled-model LRU capacity, in models. */
     std::size_t cacheCapacity = 16;
@@ -107,26 +101,23 @@ struct ServerOptions
      * Per-query compile budget: wall deadline in milliseconds and
      * live-BDD-node cap (0 = unlimited). A compile that exceeds
      * either returns a budget_exceeded error reply for that request;
-     * the worker and the cache stay healthy. Enforcement is plain
+     * the session and the cache stay healthy. Enforcement is plain
      * control flow, independent of the obs metrics.
      */
     double compileBudgetMs = 0.0;
     std::size_t compileNodeCap = 0;
 
-    std::size_t
-    resolvedWorkers() const
-    {
-        if (workers > 0)
-            return workers;
-        unsigned hw = std::thread::hardware_concurrency();
-        return hw > 0 ? hw : 2;
-    }
+    /** `workers`, or one per hardware thread when 0. */
+    std::size_t resolvedWorkers() const { return resolveThreads(workers); }
 };
 
-/** Where one job's time went, reported back with its reply. */
+/** Where one query's time went, reported back with its reply. */
 struct JobTelemetry
 {
-    /** Queue entry to worker pickup; 0 when the session served it. */
+    /**
+     * Wait for a compile slot (the request log's queue_wait_ms); 0 on
+     * a hit or a coalesced wait.
+     */
     double queueWaitMs = 0.0;
 
     /** Compile wall time when this job compiled; 0 on a hit. */
@@ -135,7 +126,7 @@ struct JobTelemetry
     /** Model evaluation wall time. */
     double evalMs = 0.0;
 
-    /** "hit", "miss", or "coalesced" (empty if the job failed). */
+    /** "hit", "miss", or "coalesced" (empty if the query failed). */
     const char *cache = "";
 
     /** True when the compile hit its StepBudget. */
@@ -147,51 +138,6 @@ struct JobResult
 {
     json::Value reply;
     JobTelemetry telemetry;
-};
-
-/** One availability evaluation in flight through the worker pool. */
-struct Job
-{
-    QuerySpec spec;
-
-    /** Request id the job belongs to (trace and request-log key). */
-    std::uint64_t requestId = 0;
-
-    /** When the session enqueued it (queue-wait attribution). */
-    std::chrono::steady_clock::time_point enqueueTime{};
-
-    std::promise<JobResult> result;
-};
-
-/**
- * Bounded MPMC job queue. push() blocks while full (backpressure)
- * and fails once closed; pop() drains remaining jobs after close()
- * before reporting exhaustion, so shutdown never drops queued work.
- */
-class JobQueue
-{
-  public:
-    explicit JobQueue(std::size_t capacity);
-
-    /** Enqueue; blocks while full. False once the queue is closed. */
-    bool push(Job &&job);
-
-    /** Dequeue; blocks while empty. False when closed and drained. */
-    bool pop(Job &job);
-
-    /** Stop accepting pushes; pending jobs remain poppable. */
-    void close();
-
-    std::size_t depth() const;
-    std::size_t capacity() const { return capacity_; }
-
-  private:
-    std::size_t capacity_;
-    mutable std::mutex mutex_;
-    std::condition_variable notFull_;
-    std::condition_variable notEmpty_;
-    std::deque<Job> jobs_;
-    bool closed_ = false;
 };
 
 class Server
@@ -206,7 +152,7 @@ class Server
     Server &operator=(const Server &) = delete;
 
     /**
-     * Bind, listen, and spawn the acceptor and worker threads.
+     * Bind, listen, and spawn the acceptor thread.
      * @throws ModelError when the socket cannot be bound.
      */
     void start();
@@ -264,40 +210,29 @@ class Server
 
     void acceptLoop();
     void sessionLoop(Session &session);
-    void workerLoop();
 
     /** Handle one request line; returns the reply line. */
     std::string handleLine(const std::string &line,
                            const std::string &peer);
 
-    /**
-     * Answer a single query: on the calling session thread when its
-     * model is resident, through the worker pool otherwise.
-     */
-    JobResult answerQuery(const ParsedQuery &item,
-                          std::uint64_t requestId);
-
-    /** Queue a job; the returned future is invalid once closed. */
-    std::future<JobResult> enqueue(const QuerySpec &spec,
-                                   std::uint64_t requestId);
-
     /** Count an error and build its {"ok":false} reply fragment. */
     JobResult errorResult(const std::string &message);
 
     /**
-     * Evaluate one query and build its reply fragment; every query
-     * reply is built here. `lookup` is a resident hit the caller
-     * holds; empty, the model is acquired (and maybe compiled) here.
+     * Answer one query item on the calling thread and build its
+     * reply fragment; every query reply is built here. A parse error
+     * gets its error reply; any other item is counted, its model
+     * acquired (and maybe compiled), and evaluated. Never throws, so
+     * a batch item cannot abort its parallelFor.
      */
-    JobResult serveQuery(const QuerySpec &spec, std::uint64_t requestId,
-                         std::optional<CacheLookup> lookup);
+    JobResult serveQuery(const ParsedQuery &item,
+                         std::uint64_t requestId);
 
     /** Reap finished session threads (acceptor housekeeping). */
     void reapSessions(bool joinAll);
 
     ServerOptions options_;
     ModelCache cache_;
-    JobQueue queue_;
 
     int listenFd_ = -1;
     std::uint16_t port_ = 0;
@@ -307,7 +242,6 @@ class Server
     std::chrono::steady_clock::time_point startTime_{};
 
     std::thread acceptor_;
-    std::vector<std::thread> workers_;
     std::mutex sessionsMutex_;
     std::list<std::unique_ptr<Session>> sessions_;
 

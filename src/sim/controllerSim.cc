@@ -457,9 +457,15 @@ ControllerSimulation::recordBatches(double time)
 {
     double batch_length = config_.horizonHours /
         static_cast<double>(config_.batches);
-    while (next_batch_ <= config_.batches &&
-           static_cast<double>(next_batch_) * batch_length <= time) {
-        double boundary = static_cast<double>(next_batch_) * batch_length;
+    while (next_batch_ <= config_.batches) {
+        // The last batch ends at the horizon itself: batches *
+        // batch_length can round above it, and that batch would
+        // then never close.
+        double boundary = next_batch_ == config_.batches
+            ? config_.horizonHours
+            : static_cast<double>(next_batch_) * batch_length;
+        if (boundary > time)
+            break;
         accumulate(boundary);
         cp_batches_.push_back((cp_uptime_ - batch_cp_mark_) /
                               batch_length);

@@ -7,6 +7,8 @@
  */
 
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -254,6 +256,25 @@ TEST(Histogram, CountsTotalsAndTracksMax)
     EXPECT_DOUBLE_EQ(stats.total, 12.0);
     EXPECT_DOUBLE_EQ(stats.max, 9.0);
     EXPECT_DOUBLE_EQ(stats.mean(), 4.0);
+
+    // Values whose bucket index would overflow an int land in the
+    // overflow bucket: counted, reported at the top bucket's bound,
+    // and only in the exposition's +Inf bucket.
+    const double inf = std::numeric_limits<double>::infinity();
+    histogram.record(inf);
+    histogram.record(1e306);
+    stats = histogram.stats();
+    EXPECT_EQ(stats.count, 5u);
+    EXPECT_EQ(stats.max, inf);
+    const double topBound = 1e-3 * std::exp2((27.0 * 8 + 1) / 8);
+    EXPECT_DOUBLE_EQ(stats.p99, topBound);
+    std::vector<obs::HistogramBucket> buckets =
+        histogram.cumulativeBuckets();
+    ASSERT_GE(buckets.size(), 2u);
+    EXPECT_EQ(buckets.back().upperBound, inf);
+    EXPECT_EQ(buckets.back().cumulativeCount, 5u);
+    EXPECT_EQ(buckets[buckets.size() - 2].cumulativeCount, 3u);
+
     histogram.reset();
     EXPECT_EQ(histogram.stats().count, 0u);
 }

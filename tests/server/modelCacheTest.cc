@@ -1,7 +1,9 @@
 #include "server/modelCache.hh"
 
 #include <atomic>
-#include <optional>
+#include <chrono>
+#include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -44,31 +46,7 @@ TEST(ModelCache, MissThenHit)
     EXPECT_EQ(cache.entryCount(), 1u);
 }
 
-TEST(ModelCache, TryAcquireServesOnlyResidentModels)
-{
-    ModelCache cache(2);
-    // Absent: nothing returned, nothing counted, nothing compiled.
-    EXPECT_FALSE(cache.tryAcquire(spec("opencontrail", 1)).has_value());
-    EXPECT_EQ(cache.hits(), 0u);
-    EXPECT_EQ(cache.misses(), 0u);
-    EXPECT_EQ(cache.entryCount(), 0u);
-
-    CacheLookup compiled = cache.acquire(spec("opencontrail", 1));
-    cache.acquire(spec("raft", 1));
-    std::optional<CacheLookup> resident =
-        cache.tryAcquire(spec("opencontrail", 1));
-    ASSERT_TRUE(resident.has_value());
-    EXPECT_TRUE(resident->hit);
-    EXPECT_FALSE(resident->coalesced);
-    EXPECT_EQ(resident->model.get(), compiled.model.get());
-    // Counted and LRU-bumped exactly like an acquire() hit.
-    EXPECT_EQ(cache.hits(), 1u);
-    EXPECT_EQ(cache.misses(), 2u);
-    EXPECT_EQ(cache.keysMostRecentFirst().front(),
-              spec("opencontrail", 1).modelKey());
-}
-
-TEST(ModelCache, TryAcquireNeverWaitsOnAnInFlightCompile)
+TEST(ModelCache, CoalescedWaiterGetsTheCompilesFailure)
 {
     ModelCache cache(2);
     // OpenContrail Large x6 compiles for minutes; the wall deadline
@@ -89,7 +67,6 @@ TEST(ModelCache, TryAcquireNeverWaitsOnAnInFlightCompile)
     while (cache.keysMostRecentFirst().empty())
         std::this_thread::yield();
     EXPECT_EQ(cache.entryCount(), 0u);
-    EXPECT_FALSE(cache.tryAcquire(runaway).has_value());
     EXPECT_EQ(cache.hits(), 0u);
     EXPECT_EQ(cache.misses(), 1u);
 
@@ -106,6 +83,53 @@ TEST(ModelCache, TryAcquireNeverWaitsOnAnInFlightCompile)
     EXPECT_EQ(waiterError, compilerError);
     EXPECT_EQ(cache.hits(), 1u);
     EXPECT_EQ(cache.entryCount(), 0u);
+}
+
+TEST(ModelCache, CompileSlotsBoundCompilesAndAbortsReleaseThem)
+{
+    // One slot: a second compile must wait until the first ends.
+    auto cache = std::make_shared<ModelCache>(2, 1);
+    // OpenContrail Large x6 compiles for minutes; the wall deadline
+    // ends it well after the cheap key below starts waiting.
+    cache->setCompileBudget(bdd::StepBudget{300.0, 0});
+    QuerySpec runaway;
+    runaway.topology = "large";
+    runaway.nodes = 6;
+    bool aborted = false;
+    std::thread compiler([&] {
+        try {
+            cache->acquire(runaway);
+        } catch (const bdd::BudgetExceeded &) {
+            aborted = true;
+        }
+    });
+    // Listed means published; the pause lets it take the slot.
+    while (cache->keysMostRecentFirst().empty())
+        std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+    // The cheap compile gets the slot only once the runaway's budget
+    // abort has released it. It runs on a detached thread that owns
+    // a reference to the cache, so a slot the abort failed to release
+    // fails this test instead of hanging it.
+    std::packaged_task<CacheLookup()> cheapTask(
+        [cache] { return cache->acquire(spec("opencontrail", 1)); });
+    std::future<CacheLookup> pending = cheapTask.get_future();
+    std::thread(std::move(cheapTask)).detach();
+    std::future_status status = pending.wait_for(std::chrono::seconds(30));
+    compiler.join();
+    EXPECT_TRUE(aborted);
+    ASSERT_EQ(status, std::future_status::ready);
+    CacheLookup cheap = pending.get();
+    EXPECT_FALSE(cheap.hit);
+    ASSERT_NE(cheap.model, nullptr);
+    EXPECT_GE(cheap.slotWaitMs, 100.0);
+    EXPECT_EQ(cache->entryCount(), 1u);
+
+    // A hit takes no slot.
+    CacheLookup hit = cache->acquire(spec("opencontrail", 1));
+    EXPECT_TRUE(hit.hit);
+    EXPECT_EQ(hit.slotWaitMs, 0.0);
 }
 
 TEST(ModelCache, HitAnswersAreBitIdenticalToColdCompile)

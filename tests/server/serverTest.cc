@@ -93,13 +93,6 @@ TEST(Server, SingleQueryMatchesDirectModelEvaluation)
     srv.wait();
 }
 
-/** Session-served hits so far (process-wide; tests use deltas). */
-std::uint64_t
-sessionServed()
-{
-    return obs::Registry::global().counter("server.session_served").value();
-}
-
 /** Every record of a JSONL request log, in append order. */
 std::vector<json::Value>
 readRequestLog(const std::string &path)
@@ -112,7 +105,7 @@ readRequestLog(const std::string &path)
     return records;
 }
 
-TEST(Server, SessionServedHitEqualsPoolReplyAndDirectEvaluation)
+TEST(Server, HitEqualsMissReplyAndDirectEvaluation)
 {
     Server srv(testOptions());
     srv.start();
@@ -122,16 +115,13 @@ TEST(Server, SessionServedHitEqualsPoolReplyAndDirectEvaluation)
     const std::string line =
         R"({"id":1,"catalog":"opencontrail","topology":"small",)"
         R"("nodes":3,"params":{"a":0.9993,"av":0.9991}})";
-    std::uint64_t before = sessionServed();
-    json::Value pooled = roundTrip(client, line);
-    ASSERT_TRUE(pooled.at("ok").asBool()) << pooled.dump();
-    EXPECT_EQ(pooled.at("cache").asString(), "miss");
-    EXPECT_EQ(sessionServed(), before);
+    json::Value missed = roundTrip(client, line);
+    ASSERT_TRUE(missed.at("ok").asBool()) << missed.dump();
+    EXPECT_EQ(missed.at("cache").asString(), "miss");
 
-    json::Value inline_ = roundTrip(client, line);
-    ASSERT_TRUE(inline_.at("ok").asBool()) << inline_.dump();
-    EXPECT_EQ(inline_.at("cache").asString(), "hit");
-    EXPECT_EQ(sessionServed(), before + 1);
+    json::Value hit = roundTrip(client, line);
+    ASSERT_TRUE(hit.at("ok").asBool()) << hit.dump();
+    EXPECT_EQ(hit.at("cache").asString(), "hit");
 
     auto catalog = fmea::openContrail3();
     model::ExactPlaneModel direct(
@@ -142,54 +132,81 @@ TEST(Server, SessionServedHitEqualsPoolReplyAndDirectEvaluation)
     params.processAvailability = 0.9993;
     params.vmAvailability = 0.9991;
     // 0 ulp: the same frozen diagram, evaluated by the same kernel.
-    EXPECT_EQ(inline_.at("availability").asNumber(),
-              pooled.at("availability").asNumber());
-    EXPECT_EQ(inline_.at("availability").asNumber(),
+    EXPECT_EQ(hit.at("availability").asNumber(),
+              missed.at("availability").asNumber());
+    EXPECT_EQ(hit.at("availability").asNumber(),
               direct.availability(params));
-
-    // Scrapers see how many queries skipped the pool.
-    json::Value metrics = roundTrip(client, R"({"cmd":"metrics"})");
-    EXPECT_NE(metrics.at("metrics").asString().find(
-                  "server_session_served_total"),
-              std::string::npos);
 
     srv.requestStop();
     srv.wait();
 }
 
-TEST(Server, BatchOfResidentKeysStillRunsOnThePool)
+TEST(Server, ConcurrentBatchesMatchSingleAnswers)
 {
-    Server srv(testOptions());
+    ServerOptions options = testOptions();
+    options.workers = 4;
+    Server srv(options);
     srv.start();
-    LineClient client;
-    client.connect(srv.port());
 
-    // Prime both keys, then ask for them again one by one (hits).
+    // Eight items over three keys with distinct parameters; asking
+    // each as a single query primes its key and records its answer.
+    const char *catalogs[] = {"opencontrail", "raft", "fragile"};
+    constexpr std::size_t kItems = 8;
+    json::Value queries = json::Value::makeArray();
     std::vector<double> singles;
-    for (int pass = 0; pass < 2; ++pass) {
-        singles.clear();
-        for (const char *catalog : {"opencontrail", "raft"}) {
-            json::Value reply = roundTrip(client, cheapQuery(1, catalog));
+    {
+        LineClient primer;
+        primer.connect(srv.port());
+        for (std::size_t i = 0; i < kItems; ++i) {
+            json::Value query = json::Value::makeObject();
+            query.set("catalog", catalogs[i % 3]);
+            query.set("topology", "small");
+            query.set("nodes", 1);
+            json::Value params = json::Value::makeObject();
+            params.set("a", 0.999 - 0.0001 * static_cast<double>(i));
+            query.set("params", std::move(params));
+            json::Value reply = roundTrip(primer, query.dump());
             ASSERT_TRUE(reply.at("ok").asBool()) << reply.dump();
             singles.push_back(reply.at("availability").asNumber());
+            queries.push(std::move(query));
         }
     }
+    json::Value batch = json::Value::makeObject();
+    batch.set("id", 9);
+    batch.set("queries", std::move(queries));
+    const std::string line = batch.dump();
 
-    std::uint64_t before = sessionServed();
-    json::Value reply = roundTrip(
-        client,
-        R"({"id":2,"queries":[)"
-        R"({"catalog":"opencontrail","topology":"small","nodes":1},)"
-        R"({"catalog":"raft","topology":"small","nodes":1}]})");
-    ASSERT_TRUE(reply.at("ok").asBool()) << reply.dump();
-    const json::Value::Array &results = reply.at("results").asArray();
-    ASSERT_EQ(results.size(), 2u);
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        EXPECT_EQ(results[i].at("cache").asString(), "hit");
-        EXPECT_EQ(results[i].at("availability").asNumber(), singles[i]);
+    // Two sessions run their batches on parallelFor at once.
+    constexpr int kClients = 2;
+    constexpr int kRounds = 10;
+    std::vector<std::vector<json::Value>> replies(kClients);
+    std::vector<std::thread> threads;
+    for (int c = 0; c < kClients; ++c)
+        threads.emplace_back([&, c] {
+            LineClient client;
+            client.connect(srv.port());
+            for (int r = 0; r < kRounds; ++r)
+                replies[static_cast<std::size_t>(c)].push_back(
+                    roundTrip(client, line));
+        });
+    for (std::thread &thread : threads)
+        thread.join();
+
+    for (const std::vector<json::Value> &rounds : replies) {
+        ASSERT_EQ(rounds.size(), static_cast<std::size_t>(kRounds));
+        for (const json::Value &reply : rounds) {
+            ASSERT_TRUE(reply.at("ok").asBool()) << reply.dump();
+            const json::Value::Array &results =
+                reply.at("results").asArray();
+            ASSERT_EQ(results.size(), kItems);
+            for (std::size_t i = 0; i < kItems; ++i) {
+                EXPECT_EQ(results[i].at("cache").asString(), "hit");
+                // 0 ulp, in request order.
+                EXPECT_EQ(results[i].at("availability").asNumber(),
+                          singles[i]);
+            }
+        }
     }
-    // Batch items are pool work even when every key is resident.
-    EXPECT_EQ(sessionServed(), before);
 
     srv.requestStop();
     srv.wait();
@@ -473,7 +490,6 @@ TEST(Server, GracefulShutdownDrainsQueuedWork)
 {
     ServerOptions options = testOptions();
     options.workers = 1;
-    options.queueCapacity = 4; // force the batch through backpressure
     Server srv(options);
     srv.start();
 
@@ -530,7 +546,7 @@ TEST(Server, StatsCommandReportsTheDocumentedSchema)
     for (const char *key :
          {"uptime_seconds", "git_sha", "qps", "requests",
           "slow_requests", "queries", "errors", "connections",
-          "workers", "cache", "queue", "latency"})
+          "workers", "cache", "latency"})
         EXPECT_TRUE(stats.contains(key)) << "missing " << key;
     EXPECT_FALSE(stats.contains("uptime_s"));
     EXPECT_GE(stats.at("queries").asNumber(), 2.0);
@@ -544,10 +560,6 @@ TEST(Server, StatsCommandReportsTheDocumentedSchema)
     EXPECT_EQ(cache.at("misses").asNumber(), 1.0);
     EXPECT_EQ(cache.at("hits").asNumber(), 1.0);
     EXPECT_EQ(cache.at("hit_rate").asNumber(), 0.5);
-
-    const json::Value &queue = stats.at("queue");
-    for (const char *key : {"depth", "capacity", "peak"})
-        EXPECT_TRUE(queue.contains(key)) << "missing queue." << key;
 
     const json::Value &latency = stats.at("latency");
     for (const char *key : {"count", "mean_ms", "p50_ms", "p90_ms",

@@ -7,6 +7,8 @@
  * bench_simulation_validation).
  */
 
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "common/error.hh"
@@ -155,6 +157,25 @@ TEST(ControllerSim, DeterministicPerSeed)
     EXPECT_DOUBLE_EQ(a.cpAvailability.mean, b.cpAvailability.mean);
     EXPECT_DOUBLE_EQ(a.dpAvailability.mean, b.dpAvailability.mean);
     EXPECT_EQ(a.events, b.events);
+}
+
+TEST(ControllerSim, LastBatchClosesAtTheHorizon)
+{
+    // batches * (horizon / batches) rounds above both horizons, so
+    // the last batch boundary must be the horizon itself.
+    auto catalog = fmea::openContrail3();
+    auto topo = topology::smallTopology();
+    const std::pair<double, std::size_t> shapes[] = {{1e6, 30},
+                                                     {1002.1, 20}};
+    for (const auto &[horizon, batches] : shapes) {
+        ControllerSimConfig config;
+        config.horizonHours = horizon;
+        config.batches = batches;
+        auto result = simulateController(
+            catalog, topo, SupervisorPolicy::Required, config);
+        EXPECT_EQ(result.cpAvailability.batches, batches) << horizon;
+        EXPECT_EQ(result.dpAvailability.batches, batches) << horizon;
+    }
 }
 
 TEST(ControllerSim, UnmonitoredDataPlaneIsNotReportedPerfect)

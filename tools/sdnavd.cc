@@ -11,7 +11,7 @@
  *       | nc 127.0.0.1 $(cat /tmp/sdnavd.port)
  *
  * Stops gracefully on SIGINT/SIGTERM or the "shutdown" command:
- * in-flight requests finish, the job queue drains, exit status 0.
+ * in-flight requests finish and get their replies, exit status 0.
  */
 
 #include <csignal>
@@ -48,8 +48,9 @@ printUsage()
         "  --port P            listen port (default 0 = ephemeral)\n"
         "  --port-file FILE    write the bound port to FILE once\n"
         "                      listening (for scripts using --port 0)\n"
-        "  --workers N         worker threads (default 0 = hardware)\n"
-        "  --queue N           job queue capacity (default 256)\n"
+        "  --workers N         most model compiles at once, and the\n"
+        "                      threads per query batch\n"
+        "                      (default 0 = hardware)\n"
         "  --cache N           compiled-model LRU capacity "
         "(default 16)\n"
         "  --max-line-bytes N  largest accepted request line\n"
@@ -101,9 +102,6 @@ main(int argc, char **argv)
             } else if (arg == "--workers") {
                 options.workers =
                     parseCount(value, "--workers", 1024);
-            } else if (arg == "--queue") {
-                options.queueCapacity =
-                    parseCount(value, "--queue", 1 << 20);
             } else if (arg == "--cache") {
                 options.cacheCapacity =
                     parseCount(value, "--cache", 1 << 20);
@@ -141,7 +139,7 @@ main(int argc, char **argv)
     }
 
     try {
-        // Enable before start() so worker and acceptor threads never
+        // Enable before start() so session and acceptor threads never
         // race the enable flag.
         if (!traceFile.empty())
             obs::Tracer::global().enable();
