@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "common/error.hh"
 #include "obs/obs.hh"
@@ -18,6 +19,32 @@ namespace
  * multiple of the best size seen for the variable being moved.
  */
 constexpr double kSiftMaxGrowth = 1.2;
+
+/**
+ * Fold `op` over fs pairwise in a balanced tree; `unit` for empty
+ * input. Each round combines neighbours (0,1), (2,3), ... and carries
+ * an odd last operand, so every operand takes part in about log2(n)
+ * applies. A left fold would run each late operand against the whole
+ * accumulated diagram, rebuilding the shared levels on top of it
+ * every time.
+ */
+template <class Op>
+NodeRef
+foldPairwise(std::span<const NodeRef> fs, NodeRef unit, Op op)
+{
+    if (fs.empty())
+        return unit;
+    std::vector<NodeRef> row(fs.begin(), fs.end());
+    while (row.size() > 1) {
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i + 1 < row.size(); i += 2)
+            row[kept++] = op(row[i], row[i + 1]);
+        if (row.size() % 2 != 0)
+            row[kept++] = row.back();
+        row.resize(kept);
+    }
+    return row.front();
+}
 
 } // anonymous namespace
 
@@ -250,13 +277,7 @@ BddManager::iteShortcut(NodeRef f, NodeRef g, NodeRef h, NodeRef &out)
         out = f;
         return true;
     }
-    std::uint64_t key = f;
-    key = key * 0x9e3779b97f4a7c15ULL + g;
-    key = key * 0x9e3779b97f4a7c15ULL + h;
-    key ^= key >> 32;
-    const IteEntry &entry =
-        ite_cache_[static_cast<std::size_t>(key) &
-                   (ite_cache_.size() - 1)];
+    const IteEntry &entry = ite_cache_[iteSlot(f, g, h)];
     if (entry.f == f && entry.g == g && entry.h == h) {
         ++ite_cache_hits_;
         out = entry.result;
@@ -264,6 +285,16 @@ BddManager::iteShortcut(NodeRef f, NodeRef g, NodeRef h, NodeRef &out)
     }
     ++ite_cache_misses_;
     return false;
+}
+
+std::size_t
+BddManager::iteSlot(NodeRef f, NodeRef g, NodeRef h) const
+{
+    std::uint64_t key = f;
+    key = key * 0x9e3779b97f4a7c15ULL + g;
+    key = key * 0x9e3779b97f4a7c15ULL + h;
+    key ^= key >> 32;
+    return static_cast<std::size_t>(key) & (ite_cache_.size() - 1);
 }
 
 void
@@ -274,10 +305,15 @@ BddManager::growIteCache()
         return;
     while (size < nodes_.size() && size < kMaxIteCache)
         size *= 2;
-    // Growing discards the entries; the cache is lossy by design, so
-    // a dropped entry only costs a recomputation that cannot create
-    // new nodes (everything it would build is already hash-consed).
-    ite_cache_.assign(size, IteEntry{});
+    // Carry the entries over: only GC and sifting can invalidate one,
+    // and both clear the cache. An entry's new slot keeps its old
+    // slot index in its low bits, so no carried entry evicts another.
+    std::vector<IteEntry> old =
+        std::exchange(ite_cache_, std::vector<IteEntry>(size));
+    for (const IteEntry &entry : old) {
+        if (entry.f != 0)
+            ite_cache_[iteSlot(entry.f, entry.g, entry.h)] = entry;
+    }
 }
 
 void
@@ -362,17 +398,11 @@ BddManager::ite(NodeRef f, NodeRef g, NodeRef h)
             // One top-level apply can grow the node table far past
             // the cache it entered with; a cache much smaller than
             // the table turns the lossy memoization into exponential
-            // recomputation. Growing mid-operation discards entries,
-            // but doubling bounds that to a handful of flushes.
+            // recomputation, so it grows mid-operation too.
             if (nodes_.size() > ite_cache_.size())
                 growIteCache();
-            std::uint64_t key = frame.f;
-            key = key * 0x9e3779b97f4a7c15ULL + frame.g;
-            key = key * 0x9e3779b97f4a7c15ULL + frame.h;
-            key ^= key >> 32;
-            ite_cache_[static_cast<std::size_t>(key) &
-                       (ite_cache_.size() - 1)] = {frame.f, frame.g,
-                                                   frame.h, result};
+            ite_cache_[iteSlot(frame.f, frame.g, frame.h)] = {
+                frame.f, frame.g, frame.h, result};
             frames.pop_back();
             break;
           }
@@ -408,19 +438,17 @@ BddManager::xorOp(NodeRef f, NodeRef g)
 NodeRef
 BddManager::andAll(std::span<const NodeRef> fs)
 {
-    NodeRef acc = trueNode;
-    for (NodeRef f : fs)
-        acc = andOp(acc, f);
-    return acc;
+    return foldPairwise(fs, trueNode, [this](NodeRef f, NodeRef g) {
+        return andOp(f, g);
+    });
 }
 
 NodeRef
 BddManager::orAll(std::span<const NodeRef> fs)
 {
-    NodeRef acc = falseNode;
-    for (NodeRef f : fs)
-        acc = orOp(acc, f);
-    return acc;
+    return foldPairwise(fs, falseNode, [this](NodeRef f, NodeRef g) {
+        return orOp(f, g);
+    });
 }
 
 NodeRef

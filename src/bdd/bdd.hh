@@ -22,10 +22,11 @@
  *  - optional sifting-based dynamic variable reordering
  *    (reorderSifting) that rewrites nodes in place, so NodeRefs held
  *    by callers stay valid and keep denoting the same function;
- *  - ITE-based apply with a lossy direct-mapped computed cache and
- *    threshold ("at least m of these functions") builders — all
- *    iterative, so deep chain diagrams cannot overflow the call
- *    stack;
+ *  - ITE-based apply with a lossy direct-mapped computed cache that
+ *    keeps its entries when it grows with the arena, balanced
+ *    pairwise AND/OR folds and threshold ("at least m of these
+ *    functions") builders — all iterative, so deep chain diagrams
+ *    cannot overflow the call stack;
  *  - freeze(): export one root's reachable nodes as an immutable
  *    FrozenDiagram, the single place probabilities and their
  *    per-variable derivatives (Birnbaum importance) are evaluated;
@@ -340,10 +341,19 @@ class BddManager
     /** If-then-else: f ? g : h, the universal ternary connective. */
     NodeRef ite(NodeRef f, NodeRef g, NodeRef h);
 
-    /** AND of a sequence of functions (true for empty input). */
+    /**
+     * AND of a sequence of functions (true for empty input), folded
+     * pairwise in a balanced tree: each round ANDs neighbours (0,1),
+     * (2,3), ... in list order and carries an odd last operand to
+     * the next round. Each operand takes part in about log2(n)
+     * applies, against a left fold's one apply per operand over the
+     * whole accumulated diagram. The result is the same canonical
+     * node either way.
+     */
     NodeRef andAll(std::span<const NodeRef> fs);
 
-    /** OR of a sequence of functions (false for empty input). */
+    /** OR of a sequence of functions (false for empty input), folded
+     *  pairwise like andAll(). */
     NodeRef orAll(std::span<const NodeRef> fs);
 
     /**
@@ -549,8 +559,14 @@ class BddManager
      *  the computed cache. True when `out` holds the result. */
     bool iteShortcut(NodeRef f, NodeRef g, NodeRef h, NodeRef &out);
 
-    /** Grow (and thereby clear) the computed cache to track the
-     *  arena; lossy, so dropping entries is always safe. */
+    /** The computed-cache slot of the call ite(f, g, h). */
+    std::size_t iteSlot(NodeRef f, NodeRef g, NodeRef h) const;
+
+    /**
+     * Double the computed cache until it covers the arena (up to
+     * kMaxIteCache), re-inserting every entry into the grown table:
+     * growth itself evicts nothing.
+     */
     void growIteCache();
 
     /** Clear the computed cache in place (GC / reorder). */

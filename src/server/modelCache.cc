@@ -1,6 +1,7 @@
 #include "server/modelCache.hh"
 
 #include <chrono>
+#include <sys/resource.h>
 
 #include "common/error.hh"
 #include "common/parallel.hh"
@@ -63,6 +64,15 @@ compileModel(const QuerySpec &spec, const bdd::StepBudget &budget)
     options.budget = budget;
     return std::make_shared<const model::ExactPlaneModel>(
         catalog, topo, spec.policy, spec.plane, options);
+}
+
+/** Minor page faults the calling thread has taken so far. */
+std::uint64_t
+threadMinorFaults()
+{
+    rusage usage{};
+    ::getrusage(RUSAGE_THREAD, &usage);
+    return static_cast<std::uint64_t>(usage.ru_minflt);
 }
 
 double
@@ -184,6 +194,7 @@ ModelCache::acquire(const QuerySpec &spec)
     std::shared_ptr<const model::ExactPlaneModel> model;
     double slotWaitMs = 0.0;
     double compileMs = 0.0;
+    std::uint64_t compileFaults = 0;
     try {
         auto t0 = std::chrono::steady_clock::now();
         CompileSlot slot(compileSlots_);
@@ -191,7 +202,9 @@ ModelCache::acquire(const QuerySpec &spec)
         // The budget's wall clock starts inside compileModel(), so
         // time spent waiting for the slot is not charged to it.
         auto t1 = std::chrono::steady_clock::now();
+        std::uint64_t faults0 = threadMinorFaults();
         model = compileModel(spec, budget);
+        compileFaults = threadMinorFaults() - faults0;
         compileMs = elapsedMs(t1);
     } catch (...) {
         {
@@ -221,7 +234,7 @@ ModelCache::acquire(const QuerySpec &spec)
         evictOverCapacityLocked();
     }
     compileTimer().record(compileMs);
-    return {model, false, false, compileMs, slotWaitMs};
+    return {model, false, false, compileMs, slotWaitMs, compileFaults};
 }
 
 void

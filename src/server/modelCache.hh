@@ -77,6 +77,13 @@ struct CacheLookup
      * coalesced wait, which take no slot.
      */
     double slotWaitMs = 0.0;
+
+    /**
+     * Minor page faults the compiling thread took inside this call's
+     * compile (getrusage RUSAGE_THREAD around it); 0 on a hit or a
+     * coalesced wait, which compile nothing.
+     */
+    std::uint64_t compileMinorFaults = 0;
 };
 
 class ModelCache

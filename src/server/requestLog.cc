@@ -31,6 +31,8 @@ RequestLog::append(const RequestRecord &record)
     doc.set("cache", record.cache);
     doc.set("queue_wait_ms", record.queueWaitMs);
     doc.set("compile_ms", record.compileMs);
+    doc.set("compile_minor_faults",
+            static_cast<double>(record.compileMinorFaults));
     doc.set("eval_ms", record.evalMs);
     doc.set("reply_bytes", static_cast<double>(record.replyBytes));
     doc.set("latency_ms", record.latencyMs);

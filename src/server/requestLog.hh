@@ -11,9 +11,15 @@
  *   {"id": 4711, "peer": "127.0.0.1:52114", "kind": "query",
  *    "key": "catalog=opencontrail;topology=large;nodes=3;...",
  *    "cache": "hit" | "miss" | "coalesced" | "mixed" | "",
- *    "queue_wait_ms": 0.01, "compile_ms": 0.0, "eval_ms": 0.02,
+ *    "queue_wait_ms": 0.01, "compile_ms": 0.0,
+ *    "compile_minor_faults": 0, "eval_ms": 0.02,
  *    "reply_bytes": 213, "latency_ms": 0.21,
  *    "outcome": "ok" | "error" | "budget_exceeded"}
+ *
+ * compile_minor_faults counts the minor page faults the compiling
+ * thread took inside its compile (getrusage RUSAGE_THREAD read around
+ * it), so a miss line shows what its compile cost in fresh memory as
+ * well as in time. Hits and coalesced waits compile nothing and read 0.
  *
  * Writes take one mutex and flush per record (a crashed server keeps
  * its log).
@@ -52,6 +58,10 @@ struct RequestRecord
     double queueWaitMs = 0.0;
     double compileMs = 0.0;
     double evalMs = 0.0;
+
+    /** Minor page faults the compiling threads took; summed like
+     *  compileMs, so 0 on hits and coalesced waits. */
+    std::uint64_t compileMinorFaults = 0;
 
     /** Size of the reply line (without the newline). */
     std::size_t replyBytes = 0;

@@ -461,6 +461,7 @@ Server::handleLine(const std::string &line, const std::string &peer)
         const JobTelemetry &telemetry = result.telemetry;
         record.queueWaitMs += telemetry.queueWaitMs;
         record.compileMs += telemetry.compileMs;
+        record.compileMinorFaults += telemetry.compileMinorFaults;
         record.evalMs += telemetry.evalMs;
         if (telemetry.cache[0] != '\0') {
             if (cacheAgg == nullptr)
@@ -542,8 +543,10 @@ Server::serveQuery(const ParsedQuery &item, std::uint64_t requestId)
             lookup = cache_.acquire(spec);
         }
         telemetry.queueWaitMs = lookup.slotWaitMs;
-        if (!lookup.hit)
+        if (!lookup.hit) {
             telemetry.compileMs = lookup.compileMs;
+            telemetry.compileMinorFaults = lookup.compileMinorFaults;
+        }
         telemetry.cache =
             lookup.hit ? (lookup.coalesced ? "coalesced" : "hit")
                        : "miss";

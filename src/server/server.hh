@@ -123,6 +123,9 @@ struct JobTelemetry
     /** Compile wall time when this job compiled; 0 on a hit. */
     double compileMs = 0.0;
 
+    /** Minor page faults of this job's compile; 0 on a hit. */
+    std::uint64_t compileMinorFaults = 0;
+
     /** Model evaluation wall time. */
     double evalMs = 0.0;
 

@@ -471,18 +471,20 @@ TEST(Bdd, NodeCountOfSimpleFunctions)
     EXPECT_EQ(m.nodeCount(chain), 3u);
 }
 
-TEST(Bdd, DeepChainOperationsDoNotOverflowTheStack)
+/**
+ * Conjoin n variables in the given order into one chain, then descend
+ * it with ite(), evaluate it and differentiate it: none of which may
+ * recurse once per level.
+ */
+void
+expectDeepChainWorks(bool topVariableFirst)
 {
-    // Regression: ite() used native recursion and overflowed the call
-    // stack on chain diagrams a few hundred thousand nodes deep. Building the conjunction bottom-up (last
-    // variable first) keeps every andOp O(1), so construction itself
-    // stays linear.
     BddManager m;
     const unsigned n = 200000;
     std::vector<NodeRef> fs;
     fs.reserve(n);
     for (unsigned i = 0; i < n; ++i)
-        fs.push_back(m.var(n - 1 - i));
+        fs.push_back(m.var(topVariableFirst ? i : n - 1 - i));
     NodeRef chain = m.andAll(fs);
     EXPECT_EQ(m.nodeCount(chain), n);
 
@@ -502,6 +504,45 @@ TEST(Bdd, DeepChainOperationsDoNotOverflowTheStack)
     EXPECT_TRUE(m.evaluate(chain, assign));
     assign[n / 2] = false;
     EXPECT_FALSE(m.evaluate(chain, assign));
+}
+
+TEST(Bdd, DeepChainOperationsDoNotOverflowTheStack)
+{
+    // Regression: ite() used native recursion and overflowed the call
+    // stack on chain diagrams a few hundred thousand nodes deep. An
+    // AND of two chains over disjoint variables rebuilds the one on
+    // top. Operands that come last variable first cost a left fold
+    // O(1) per step; andAll()'s balanced fold rebuilds every
+    // variable once per round, O(n log n) in all.
+    expectDeepChainWorks(false);
+}
+
+TEST(Bdd, DeepChainTopVariableFirstBuildsInNLogN)
+{
+    // The mirror image, top variable first: a left fold rebuilds the
+    // whole accumulated chain for every new variable, O(n^2) node
+    // visits for n = 200,000; the balanced fold stays O(n log n).
+    expectDeepChainWorks(true);
+}
+
+TEST(Bdd, ComputedCacheKeepsItsEntriesWhenItGrows)
+{
+    BddManager m;
+    NodeRef f = m.andOp(m.var(0), m.orOp(m.var(1), m.var(2)));
+    const std::uint64_t misses = m.stats().iteCacheMisses;
+    ASSERT_GT(misses, 0u);
+
+    // A large build that writes no cache entries of its own (var()
+    // only hash-conses), so nothing it does can evict the ones above.
+    // It leaves the arena far larger than the 1,024-entry cache, and
+    // the next apply doubles the cache five times before its lookup.
+    for (unsigned i = 3; i < 20000; ++i)
+        m.var(i);
+    ASSERT_GT(m.totalNodes(), 16u * 1024u);
+
+    // The repeat is answered from the grown cache: no new misses.
+    EXPECT_EQ(m.andOp(m.var(0), m.orOp(m.var(1), m.var(2))), f);
+    EXPECT_EQ(m.stats().iteCacheMisses, misses);
 }
 
 TEST(Bdd, CollectGarbageReclaimsUnrootedNodesOnly)

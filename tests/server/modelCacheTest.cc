@@ -205,6 +205,20 @@ TEST(ModelCache, ReferenceModelFootprintIsPinned)
     EXPECT_EQ(cache.totalBddNodes(), 36372u);
 }
 
+TEST(ModelCache, CompileFaultsAreCountedOnMissesOnly)
+{
+    // The OpenContrail Large x3 build arena is over a megabyte of
+    // freshly mapped pages, so its compile must fault; a hit compiles
+    // nothing and reports no faults.
+    ModelCache cache(2);
+    CacheLookup miss = cache.acquire(QuerySpec{});
+    ASSERT_FALSE(miss.hit);
+    EXPECT_GT(miss.compileMinorFaults, 0u);
+    CacheLookup hit = cache.acquire(QuerySpec{});
+    ASSERT_TRUE(hit.hit);
+    EXPECT_EQ(hit.compileMinorFaults, 0u);
+}
+
 TEST(ModelCache, ConcurrentSameKeyMissesCoalesceToOneCompile)
 {
     ModelCache cache(4);

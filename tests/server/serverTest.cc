@@ -1,6 +1,7 @@
 #include "server/server.hh"
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -781,18 +782,24 @@ TEST(Server, RequestLogWritesOneRecordPerRequest)
     // The two queries: miss then hit, with the model key recorded.
     for (const char *key :
          {"id", "peer", "kind", "key", "cache", "queue_wait_ms",
-          "compile_ms", "eval_ms", "reply_bytes", "latency_ms",
-          "outcome"})
+          "compile_ms", "compile_minor_faults", "eval_ms",
+          "reply_bytes", "latency_ms", "outcome"})
         EXPECT_TRUE(records[0].contains(key)) << "missing " << key;
     EXPECT_EQ(records[0].at("kind").asString(), "query");
     EXPECT_EQ(records[0].at("cache").asString(), "miss");
     EXPECT_EQ(records[0].at("outcome").asString(), "ok");
     EXPECT_GT(records[0].at("compile_ms").asNumber(), 0.0);
+    // A fault count: a whole number, whatever the compile touched.
+    const double faults =
+        records[0].at("compile_minor_faults").asNumber();
+    EXPECT_GE(faults, 0.0);
+    EXPECT_EQ(faults, std::floor(faults));
     EXPECT_FALSE(records[0].at("key").asString().empty());
     EXPECT_NE(records[0].at("peer").asString().find("127.0.0.1"),
               std::string::npos);
     EXPECT_EQ(records[1].at("cache").asString(), "hit");
     EXPECT_EQ(records[1].at("compile_ms").asNumber(), 0.0);
+    EXPECT_EQ(records[1].at("compile_minor_faults").asNumber(), 0.0);
 
     // The command: no key, no cache interaction, still logged.
     EXPECT_EQ(records[2].at("kind").asString(), "cmd:ping");
