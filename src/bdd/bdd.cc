@@ -48,13 +48,25 @@ foldPairwise(std::span<const NodeRef> fs, NodeRef unit, Op op)
 
 } // anonymous namespace
 
-BddManager::BddManager()
+BddManager::BddManager(std::span<const unsigned> levelOfVariable)
 {
     // Reserve slots 0 and 1 for the terminals. Their contents are
     // never dereferenced; var is a sentinel beyond any real variable.
     nodes_.push_back({std::numeric_limits<unsigned>::max(), 0, 0, 0});
     nodes_.push_back({std::numeric_limits<unsigned>::max(), 1, 1, 0});
     ite_cache_.assign(kInitialIteCache, IteEntry{});
+    if (levelOfVariable.empty())
+        return;
+    ensureVariable(static_cast<unsigned>(levelOfVariable.size() - 1));
+    std::vector<bool> taken(levelOfVariable.size(), false);
+    for (unsigned v = 0; v < variable_count_; ++v) {
+        unsigned level = levelOfVariable[v];
+        require(level < variable_count_ && !taken[level],
+                "BddManager: level order is not a permutation");
+        taken[level] = true;
+        level_of_var_[v] = level;
+        var_at_level_[level] = v;
+    }
 }
 
 std::size_t
@@ -846,10 +858,9 @@ BddManager::reorderSifting(const ReorderOptions &options)
     sifting_ = true;
 
     // Sift the fattest variables first; they have the most to gain.
-    std::vector<unsigned> order;
-    order.reserve(variable_count_);
-    for (unsigned v = 0; v < variable_count_; ++v)
-        order.push_back(v);
+    // Ties go top level first, so sifting a diagram depends on its
+    // order alone, not on how its variables happen to be numbered.
+    std::vector<unsigned> order = var_at_level_;
     std::stable_sort(order.begin(), order.end(),
                      [this](unsigned a, unsigned b) {
                          return subtables_[a].count >

@@ -32,11 +32,11 @@
  *    per-variable derivatives (Birnbaum importance) are evaluated;
  *    the manager can then be dropped.
  *
- * Callers still control the initial variable order (group components
- * of a node/rack together for compact diagrams); reordering only runs
- * when explicitly requested. GC and reordering are *safe points*: the
- * caller guarantees every ref it still cares about is registered as a
- * root before invoking them.
+ * Callers control the initial variable order, either by how they
+ * number their variables or by handing the constructor a level
+ * permutation; reordering only runs when explicitly requested. GC
+ * and reordering are *safe points*: the caller guarantees every ref
+ * it still cares about is registered as a root before invoking them.
  */
 
 #ifndef SDNAV_BDD_BDD_HH
@@ -271,7 +271,7 @@ class FrozenDiagram
 };
 
 /**
- * Caller-owned value buffer for FrozenDiagram evaluation.
+ * Caller-owned buffers for FrozenDiagram evaluation.
  *
  * probability() needs one value per node and gradient() two. A sweep
  * evaluating thousands of points would otherwise pay a fresh
@@ -284,12 +284,20 @@ class ProbabilityScratch
   public:
     ProbabilityScratch() = default;
 
-    /** Release the held buffer. */
+    /** Release the held buffers. */
     void
     clear()
     {
         *this = ProbabilityScratch();
     }
+
+    /**
+     * A buffer for the caller's own per-variable probabilities, held
+     * here so that a caller who rebuilds them for every evaluation
+     * (model::ExactPlaneModel) allocates nothing after its first
+     * call either. FrozenDiagram never touches it.
+     */
+    std::vector<double> &inputs() { return inputs_; }
 
   private:
     friend class FrozenDiagram;
@@ -297,6 +305,7 @@ class ProbabilityScratch
     // PageVector: eval reads this in data-dependent order, so its
     // page placement must not depend on prior heap churn.
     PageVector<double> value_;
+    std::vector<double> inputs_;
 };
 
 /** Tuning knobs for sifting-based dynamic variable reordering. */
@@ -318,7 +327,15 @@ struct ReorderOptions
 class BddManager
 {
   public:
-    BddManager();
+    /**
+     * A manager whose variable i sits at level levelOfVariable[i]
+     * from the start, so a caller can choose the variable order
+     * without renumbering its variables. levelOfVariable must be a
+     * permutation of 0 .. size - 1; empty (the default) is the
+     * identity order. Variables past the permutation enter at the
+     * bottom level, as in an identity-ordered manager.
+     */
+    explicit BddManager(std::span<const unsigned> levelOfVariable = {});
 
     /** The projection function for variable `index` (x_index). */
     NodeRef var(unsigned index);
@@ -448,8 +465,8 @@ class BddManager
      */
     std::size_t reorderSifting(const ReorderOptions &options = {});
 
-    /** The level a variable currently sits at (identity until a
-     *  reorder moves it). */
+    /** The level a variable currently sits at: the constructor's
+     *  order until a reorder moves it. */
     unsigned levelOfVariable(unsigned index) const;
 
     /** The variable sitting at a level. */
@@ -593,7 +610,8 @@ class BddManager
     std::vector<IteEntry> ite_cache_;
     std::vector<IteFrame> ite_frames_;
 
-    /** Level permutation; identity until reorderSifting runs. */
+    /** Level permutation: the constructor's (identity by default),
+     *  until reorderSifting moves it. */
     std::vector<unsigned> level_of_var_;
     std::vector<unsigned> var_at_level_;
 

@@ -53,51 +53,102 @@ double exactClassAvailability(ExactComponentClass cls,
                               const SwParams &params);
 
 /**
- * Variable (component) order the exact RBD builder emits. BDD size is
- * extremely order-sensitive; the right choice depends on the cluster
- * size.
+ * BDD variable order of the exact RBD. An order is a level
+ * permutation handed to the compile (rbd::CompileOptions::levels), so
+ * the component ids, names and classes never depend on it: every
+ * order yields the same availability up to rounding, and only the
+ * diagram's size and shape differ. BDD size is extremely
+ * order-sensitive; chooseVariableOrder() picks one per model.
  */
 enum class ExactVariableOrder
 {
     /**
      * Shared infrastructure first (racks, hosts, VMs), then per-node
-     * supervisors, then processes grouped by quorum block. Compact at
-     * the paper's reference cluster size (2N+1 = 3) and the order all
-     * golden baselines were produced with — but the diagram must
-     * remember the full infrastructure pattern across every process
-     * section, which grows exponentially in the cluster size.
+     * supervisors, then processes grouped by quorum block: the order
+     * buildExactSystem() emits the components in, and the one every
+     * golden baseline was produced with. The process sections must
+     * remember the whole infrastructure pattern, so the diagram grows
+     * exponentially in the cluster size.
      */
     SharedInfrastructureFirst,
 
     /**
-     * Node-major: each node's racks, hosts, VMs, supervisor, and
-     * quorum processes occupy one contiguous variable group. Quorum
-     * counting then crosses node-group boundaries with only the
-     * per-block counters as state, keeping the diagram polynomial in
-     * the cluster size — the order the 2N+1 scale-up benches use.
+     * Node-major: each node's racks, hosts, VMs, supervisors and
+     * quorum processes occupy one contiguous run of levels. Quorum
+     * counting then crosses node boundaries with only one counter
+     * per block as state: polynomial in the cluster size, but the
+     * product of every block's counter.
      */
     NodeMajor,
+
+    /**
+     * Role-major: the components more than one role uses (on the
+     * Large topology, the racks) on top; then, role by role, that
+     * role's own racks, hosts, VMs and supervisors, followed by its
+     * quorum blocks with the node instances of each block one after
+     * another. Once the shared components are fixed the roles are
+     * independent, and the diagram carries one role's block counters
+     * at a time: the conditioning of the paper's eqs. 3-8.
+     */
+    RoleMajor,
 };
+
+/** The order's name in logs: "sif", "node_major" or "role_major". */
+const char *variableOrderName(ExactVariableOrder order);
 
 /**
  * Build the exact RBD for one plane of a catalog on a topology.
  *
- * Components are added in BDD-friendly order (shared infrastructure
- * first, then per-node supervisors and processes grouped by node) so
- * availabilityExact() stays cheap.
+ * Components are emitted in SharedInfrastructureFirst order, whatever
+ * order the diagram is later compiled under (see
+ * exactVariableLevels()).
  *
  * @param classes When non-null, receives one ExactComponentClass per
  *                component, indexed by ComponentId.
- * @param order   Component emission order (see ExactVariableOrder);
- *                the default reproduces the golden baselines.
  */
 rbd::RbdSystem buildExactSystem(
     const fmea::ControllerCatalog &catalog,
     const topology::DeploymentTopology &topo, SupervisorPolicy policy,
     const SwParams &params, fmea::Plane plane,
-    std::vector<ExactComponentClass> *classes = nullptr,
-    ExactVariableOrder order =
-        ExactVariableOrder::SharedInfrastructureFirst);
+    std::vector<ExactComponentClass> *classes = nullptr);
+
+/**
+ * The level permutation that compiles buildExactSystem()'s components
+ * for the same arguments under `order`: component i's variable sits
+ * at level result[i]. SharedInfrastructureFirst is the identity.
+ * Components the plane never references sit below every referenced
+ * one.
+ */
+std::vector<unsigned>
+exactVariableLevels(const fmea::ControllerCatalog &catalog,
+                    const topology::DeploymentTopology &topo,
+                    SupervisorPolicy policy, fmea::Plane plane,
+                    ExactVariableOrder order);
+
+/**
+ * The order to compile a model under, chosen from the catalog's and
+ * topology's shape alone: no trial compile, no flag, and no test on
+ * names. Each order's widest frontier is estimated by the state it
+ * must carry across it, in logarithms:
+ *
+ *   node-major  B * ln(n + 1)              every block's counter
+ *   role-major  S * ln 2 + Bmax * ln(n + 1)
+ *                                          the shared state, then
+ *                                          one role's counters
+ *
+ * n is the cluster size, B the plane's quorum blocks and Bmax the
+ * most any one role has. S counts the bits of state the components
+ * more than one role uses add: components under exactly the same
+ * role instances (a node's host and VM on the Small topology) are
+ * one bit between them, and a component whose loss alone breaks a
+ * quorum (the single rack of Small) is a conjunct of the plane,
+ * not state. Role-major is chosen when its estimate is smaller;
+ * ties keep node-major.
+ */
+ExactVariableOrder
+chooseVariableOrder(const fmea::ControllerCatalog &catalog,
+                    const topology::DeploymentTopology &topo,
+                    SupervisorPolicy policy, fmea::Plane plane);
 
 /** Exact plane availability via BDD compilation of the full RBD. */
 double exactPlaneAvailability(const fmea::ControllerCatalog &catalog,
@@ -124,11 +175,11 @@ double exactPlaneAvailability(const fmea::ControllerCatalog &catalog,
 class ExactPlaneModel
 {
   public:
-    /** Build-time knobs; the default reproduces the natural
-     *  component order the topology builder emits. */
+    /** Build-time knobs; the default order reproduces the golden
+     *  baselines' diagrams. */
     struct Options
     {
-        /** Variable order the structure function is built with. */
+        /** Variable order the structure function is compiled under. */
         ExactVariableOrder order =
             ExactVariableOrder::SharedInfrastructureFirst;
 
@@ -166,9 +217,13 @@ class ExactPlaneModel
     /** Exact plane availability at the given parameters. */
     double availability(const SwParams &params) const;
 
-    /** As availability(), reusing a caller-owned scratch buffer. */
+    /** As availability(), reusing a caller-owned scratch: after its
+     *  first call on a thread, an evaluation allocates nothing. */
     double availability(const SwParams &params,
                         bdd::ProbabilityScratch &scratch) const;
+
+    /** The variable order the diagram was compiled under. */
+    ExactVariableOrder variableOrder() const { return order_; }
 
     /** Components (BDD variables) of the structure function. */
     std::size_t componentCount() const { return classes_.size(); }
@@ -185,6 +240,7 @@ class ExactPlaneModel
   private:
     // Declaration order is load-bearing: diagram_'s initializer fills
     // classes_.
+    ExactVariableOrder order_;
     std::vector<ExactComponentClass> classes_;
     bdd::FrozenDiagram diagram_;
 };

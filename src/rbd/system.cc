@@ -226,7 +226,7 @@ RbdSystem::availabilityMonteCarlo(std::size_t samples,
 FrozenRbd
 compileFrozen(const RbdSystem &system, const CompileOptions &options)
 {
-    bdd::BddManager manager;
+    bdd::BddManager manager(options.levels);
     // Arm the budget before the build so its clock covers the whole
     // compile, reorder pass included.
     if (options.budget.limited())

@@ -222,6 +222,14 @@ class RbdSystem
 /** Build-time knobs for compileFrozen(). */
 struct CompileOptions
 {
+    /**
+     * Variable order: component i's BDD variable sits at level
+     * levels[i] (see bdd::BddManager's constructor). Empty is the
+     * component order itself. The order shapes the diagram, never
+     * the component ids or the values.
+     */
+    std::vector<unsigned> levels;
+
     /** Sift the diagram after compilation (values unchanged). */
     bool reorder = false;
 
@@ -240,7 +248,8 @@ struct CompileOptions
 /** A compiled structure function and the cost of compiling it. */
 struct FrozenRbd
 {
-    /** The root's reachable nodes; component i is variable i. */
+    /** The root's reachable nodes; component i is variable i,
+     *  whatever level the order put it on. */
     bdd::FrozenDiagram diagram;
 
     /** The build manager's final statistics (peak nodes included). */

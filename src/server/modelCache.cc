@@ -46,11 +46,10 @@ compileTimer()
 }
 
 /**
- * Compile the model a spec describes. Paper-scale clusters keep the
- * golden SharedInfrastructureFirst order; larger clusters switch to
- * NodeMajor, which stays polynomial in the cluster size (PR 5) —
- * availability values are identical either way, only diagram shape
- * differs.
+ * Compile the model a spec describes, under the variable order
+ * model::chooseVariableOrder() picks for its shape. Availability is
+ * the same under every order up to rounding; only the diagram's size
+ * and shape differ.
  */
 std::shared_ptr<const model::ExactPlaneModel>
 compileModel(const QuerySpec &spec, const bdd::StepBudget &budget)
@@ -59,8 +58,8 @@ compileModel(const QuerySpec &spec, const bdd::StepBudget &budget)
     topology::DeploymentTopology topo =
         resolveTopology(spec, catalog.roles().size());
     model::ExactPlaneModel::Options options;
-    if (spec.nodes > 3)
-        options.order = model::ExactVariableOrder::NodeMajor;
+    options.order =
+        model::chooseVariableOrder(catalog, topo, spec.policy, spec.plane);
     options.budget = budget;
     return std::make_shared<const model::ExactPlaneModel>(
         catalog, topo, spec.policy, spec.plane, options);

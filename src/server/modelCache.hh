@@ -5,10 +5,11 @@
  * Compiling an ExactPlaneModel (building the full RBD and its BDD)
  * costs milliseconds to hundreds of milliseconds; evaluating one at
  * new parameters is one forward pass over its frozen diagram, about
- * 50 us for OpenContrail Large x3 CP (median on a 4-core x86-64
- * VM). The cache keys on QuerySpec::modelKey() — (catalog, topology,
- * nodes, policy, plane), never the parameters — so every repeat
- * what-if query skips compilation entirely.
+ * 1 us for OpenContrail Large x3 CP (4-core x86-64 VM). Each model
+ * is compiled under the variable order model::chooseVariableOrder()
+ * picks for its shape. The cache keys on QuerySpec::modelKey() —
+ * (catalog, topology, nodes, policy, plane), never the parameters —
+ * so every repeat what-if query skips compilation entirely.
  *
  * Concurrency: lookups take one mutex; compilation happens *outside*
  * it. Concurrent misses on the same key coalesce onto a single

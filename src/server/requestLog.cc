@@ -33,6 +33,7 @@ RequestLog::append(const RequestRecord &record)
     doc.set("compile_ms", record.compileMs);
     doc.set("compile_minor_faults",
             static_cast<double>(record.compileMinorFaults));
+    doc.set("variable_order", record.variableOrder);
     doc.set("eval_ms", record.evalMs);
     doc.set("reply_bytes", static_cast<double>(record.replyBytes));
     doc.set("latency_ms", record.latencyMs);

@@ -12,14 +12,22 @@
  *    "key": "catalog=opencontrail;topology=large;nodes=3;...",
  *    "cache": "hit" | "miss" | "coalesced" | "mixed" | "",
  *    "queue_wait_ms": 0.01, "compile_ms": 0.0,
- *    "compile_minor_faults": 0, "eval_ms": 0.02,
- *    "reply_bytes": 213, "latency_ms": 0.21,
+ *    "compile_minor_faults": 0,
+ *    "variable_order": "role_major" | "node_major" | "sif" | "mixed"
+ *                      | "",
+ *    "eval_ms": 0.02, "reply_bytes": 213, "latency_ms": 0.21,
  *    "outcome": "ok" | "error" | "budget_exceeded"}
  *
  * compile_minor_faults counts the minor page faults the compiling
  * thread took inside its compile (getrusage RUSAGE_THREAD read around
  * it), so a miss line shows what its compile cost in fresh memory as
  * well as in time. Hits and coalesced waits compile nothing and read 0.
+ *
+ * variable_order names the BDD variable order a miss compiled its
+ * model under (model::chooseVariableOrder picks it from the model's
+ * shape), so a slow or large compile can be told apart from a badly
+ * ordered one. Hits, coalesced waits and failed compiles read "";
+ * a batch whose compiles used different orders reads "mixed".
  *
  * Writes take one mutex and flush per record (a crashed server keeps
  * its log).
@@ -62,6 +70,10 @@ struct RequestRecord
     /** Minor page faults the compiling threads took; summed like
      *  compileMs, so 0 on hits and coalesced waits. */
     std::uint64_t compileMinorFaults = 0;
+
+    /** Variable order of the compiled models; "mixed" when batch
+     *  items disagree, empty when nothing compiled. */
+    std::string variableOrder;
 
     /** Size of the reply line (without the newline). */
     std::size_t replyBytes = 0;

@@ -452,32 +452,32 @@ Server::handleLine(const std::string &line, const std::string &peer)
     else if (request.kind == Request::Kind::Batch)
         record.key = "batch";
 
-    // Fold each item's telemetry into the request-log record.
+    // Fold each item's telemetry into the request-log record. A
+    // label the items disagree on reads "mixed".
     bool anyError = false;
     bool anyBudgetExceeded = false;
-    const char *cacheAgg = nullptr;
-    bool cacheMixed = false;
+    auto fold = [](std::string &agg, const char *label) {
+        if (label[0] == '\0' || agg == "mixed")
+            return;
+        if (agg.empty())
+            agg = label;
+        else if (agg != label)
+            agg = "mixed";
+    };
     auto account = [&](const JobResult &result) {
         const JobTelemetry &telemetry = result.telemetry;
         record.queueWaitMs += telemetry.queueWaitMs;
         record.compileMs += telemetry.compileMs;
         record.compileMinorFaults += telemetry.compileMinorFaults;
         record.evalMs += telemetry.evalMs;
-        if (telemetry.cache[0] != '\0') {
-            if (cacheAgg == nullptr)
-                cacheAgg = telemetry.cache;
-            else if (std::strcmp(cacheAgg, telemetry.cache) != 0)
-                cacheMixed = true;
-        }
+        fold(record.cache, telemetry.cache);
+        fold(record.variableOrder, telemetry.variableOrder);
         if (telemetry.budgetExceeded)
             anyBudgetExceeded = true;
         if (!result.reply.at("ok").asBool())
             anyError = true;
     };
     auto settle = [&] {
-        record.cache = cacheMixed
-                           ? "mixed"
-                           : (cacheAgg != nullptr ? cacheAgg : "");
         record.outcome = anyBudgetExceeded
                              ? "budget_exceeded"
                              : (anyError ? "error" : "ok");
@@ -546,6 +546,8 @@ Server::serveQuery(const ParsedQuery &item, std::uint64_t requestId)
         if (!lookup.hit) {
             telemetry.compileMs = lookup.compileMs;
             telemetry.compileMinorFaults = lookup.compileMinorFaults;
+            telemetry.variableOrder =
+                model::variableOrderName(lookup.model->variableOrder());
         }
         telemetry.cache =
             lookup.hit ? (lookup.coalesced ? "coalesced" : "hit")

@@ -760,6 +760,83 @@ TEST(Bdd, FrozenSiftedDiagramMatchesItsNaturalOrderTwin)
     m.removeRoot(f);
 }
 
+TEST(Bdd, PermutedManagerMatchesItsRelabeledTwinThroughSifting)
+{
+    // Two 2-of-3 blocks over shared variables 0-2: instance i of
+    // block b is x(3 + 3b + i) & x(i). One manager takes a level
+    // permutation up front; its twin builds the same function with
+    // every variable renamed to its level, in the identity order. The
+    // two are the same diagram up to the names, before sifting and
+    // after it: sifting may look at levels, never at names. (Under
+    // the reversed order several variables tie on node count; sifting
+    // them in index order instead of level order ends one node apart.)
+    auto build = [](BddManager &m, auto name) {
+        std::vector<NodeRef> blocks;
+        for (unsigned b = 0; b < 2; ++b) {
+            std::vector<NodeRef> instances;
+            for (unsigned i = 0; i < 3; ++i)
+                instances.push_back(m.andOp(m.var(name(3 + 3 * b + i)),
+                                            m.var(name(i))));
+            blocks.push_back(m.atLeast(instances, 2));
+        }
+        return m.andAll(blocks);
+    };
+    constexpr unsigned kVars = 9;
+    std::vector<unsigned> levels(kVars);
+    for (unsigned v = 0; v < kVars; ++v)
+        levels[v] = kVars - 1 - v;
+    BddManager m(levels);
+    NodeRef f = build(m, [](unsigned v) { return v; });
+    BddManager twin;
+    NodeRef g = build(twin, [&](unsigned v) { return levels[v]; });
+    for (unsigned v = 0; v < kVars; ++v)
+        ASSERT_EQ(m.levelOfVariable(v), levels[v]);
+
+    std::vector<double> probs(kVars);
+    std::vector<double> twin_probs(kVars);
+    for (unsigned v = 0; v < kVars; ++v) {
+        probs[v] = 0.9 - 0.05 * v;
+        twin_probs[levels[v]] = probs[v];
+    }
+    auto expect_twins = [&] {
+        ASSERT_EQ(m.nodeCount(f), twin.nodeCount(g));
+        for (unsigned v = 0; v < kVars; ++v)
+            EXPECT_EQ(m.levelOfVariable(v),
+                      twin.levelOfVariable(levels[v]));
+        ProbabilityScratch scratch;
+        FrozenDiagram permuted = m.freeze(f);
+        FrozenDiagram relabeled = twin.freeze(g);
+        EXPECT_EQ(permuted.nodeCount(), relabeled.nodeCount());
+        expectSameBits(permuted.probability(probs, scratch),
+                       relabeled.probability(twin_probs, scratch));
+        std::vector<double> grad, twin_grad;
+        permuted.gradient(probs, scratch, grad);
+        relabeled.gradient(twin_probs, scratch, twin_grad);
+        for (unsigned v = 0; v < kVars; ++v)
+            expectSameBits(grad[v], twin_grad[levels[v]]);
+        expectFrozenMatchesReference(m, f, probs, scratch);
+    };
+    expect_twins();
+
+    m.addRoot(f);
+    twin.addRoot(g);
+    const std::size_t before = m.nodeCount(f);
+    m.reorderSifting();
+    twin.reorderSifting();
+    EXPECT_LT(m.nodeCount(f), before);
+    expect_twins();
+    m.removeRoot(f);
+    twin.removeRoot(g);
+}
+
+TEST(Bdd, LevelOrderMustBeAPermutation)
+{
+    std::vector<unsigned> repeated{0, 1, 1};
+    EXPECT_THROW(BddManager m(repeated), sdnav::ModelError);
+    std::vector<unsigned> gap{0, 3, 1};
+    EXPECT_THROW(BddManager m(gap), sdnav::ModelError);
+}
+
 TEST(Bdd, NodeCapBudgetAbortsABigBuild)
 {
     BddManager m;

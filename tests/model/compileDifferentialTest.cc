@@ -9,9 +9,13 @@
  * diagrams must be the same diagram: equal node counts, and equal
  * probability and gradient bits at every parameter point.
  *
- * The keys are the perfbench cold_compile key set, each under the
- * order sdnavd compiles it with (node-major past three nodes), plus
- * OpenContrail Large x3 under node-major too.
+ * The keys are the perfbench cold_compile key set under the orders
+ * the server compiled them with before role-major existed
+ * (node-major past three nodes, shared-infrastructure-first below),
+ * plus OpenContrail Large x3 under node-major, each pinned to the
+ * frozen node count it has had since those orders were emission
+ * orders; and role-major keys, the order model::chooseVariableOrder()
+ * picks for OpenContrail, pinned to their sizes too.
  */
 
 #include <bit>
@@ -45,6 +49,9 @@ struct CompileKey
     std::size_t nodes;
     SupervisorPolicy policy;
     ExactVariableOrder order;
+
+    /** Frozen node count the key is pinned to; 0 pins nothing. */
+    std::size_t frozenNodes = 0;
 };
 
 /** A test-name-safe label, e.g. raft_large_21_required_NodeMajor. */
@@ -58,7 +65,9 @@ keyName(const testing::TestParamInfo<CompileKey> &info)
                                                      : "_notRequired") +
            (key.order == ExactVariableOrder::NodeMajor
                 ? "_NodeMajor"
-                : "_SharedInfrastructureFirst");
+                : (key.order == ExactVariableOrder::RoleMajor
+                       ? "_RoleMajor"
+                       : "_SharedInfrastructureFirst"));
 }
 
 fmea::ControllerCatalog
@@ -124,19 +133,26 @@ TEST_P(BalancedFold, FreezesTheLeftFoldsDiagram)
 {
     const CompileKey &key = GetParam();
     fmea::ControllerCatalog catalog = catalogFor(key.catalog);
+    topology::DeploymentTopology topo =
+        topologyFor(key.topology, catalog.roles().size(), key.nodes);
     rbd::RbdSystem system = model::buildExactSystem(
-        catalog,
-        topologyFor(key.topology, catalog.roles().size(), key.nodes),
-        key.policy, model::SwParams{}, fmea::Plane::ControlPlane,
-        nullptr, key.order);
+        catalog, topo, key.policy, model::SwParams{},
+        fmea::Plane::ControlPlane);
+    rbd::CompileOptions options;
+    options.levels = model::exactVariableLevels(
+        catalog, topo, key.policy, fmea::Plane::ControlPlane, key.order);
 
-    bdd::FrozenDiagram balanced = rbd::compileFrozen(system).diagram;
+    bdd::FrozenDiagram balanced =
+        rbd::compileFrozen(system, options).diagram;
     bdd::FrozenDiagram reference;
     {
-        BddManager m;
+        BddManager m(options.levels);
         reference = m.freeze(leftFoldCompile(m, system.root()));
     }
     ASSERT_EQ(balanced.nodeCount(), reference.nodeCount());
+    if (key.frozenNodes != 0) {
+        EXPECT_EQ(balanced.nodeCount(), key.frozenNodes);
+    }
 
     // Availabilities from 1 - 1e-1 to 1 - 1e-6, drawn per component.
     constexpr std::size_t kPoints = 32;
@@ -162,27 +178,38 @@ constexpr SupervisorPolicy kNotReq = SupervisorPolicy::NotRequired;
 constexpr ExactVariableOrder kSif =
     ExactVariableOrder::SharedInfrastructureFirst;
 constexpr ExactVariableOrder kNodeMajor = ExactVariableOrder::NodeMajor;
+constexpr ExactVariableOrder kRoleMajor = ExactVariableOrder::RoleMajor;
 
 INSTANTIATE_TEST_SUITE_P(
     ColdCompileKeys, BalancedFold,
     testing::Values(
-        CompileKey{"raft", "large", 21, kReq, kNodeMajor},
-        CompileKey{"opencontrail", "small", 3, kReq, kSif},
-        CompileKey{"raft", "large", 15, kReq, kNodeMajor},
-        CompileKey{"fragile", "large", 31, kReq, kNodeMajor},
-        CompileKey{"raft", "large", 21, kNotReq, kNodeMajor},
-        CompileKey{"opencontrail", "medium", 3, kNotReq, kSif},
-        CompileKey{"raft", "large", 17, kReq, kNodeMajor},
-        CompileKey{"opencontrail", "medium", 3, kReq, kSif},
-        CompileKey{"raft", "medium", 21, kReq, kNodeMajor},
-        CompileKey{"raft", "small", 15, kReq, kNodeMajor},
-        CompileKey{"opencontrail", "large", 3, kNotReq, kSif},
-        CompileKey{"fragile", "small", 31, kReq, kNodeMajor},
-        CompileKey{"raft", "large", 19, kReq, kNodeMajor},
-        CompileKey{"opencontrail", "large", 3, kReq, kSif},
-        CompileKey{"raft", "large", 15, kNotReq, kNodeMajor},
-        CompileKey{"fragile", "large", 25, kReq, kNodeMajor},
-        CompileKey{"opencontrail", "large", 3, kReq, kNodeMajor}),
+        CompileKey{"raft", "large", 21, kReq, kNodeMajor, 163137},
+        CompileKey{"opencontrail", "small", 3, kReq, kSif, 16256},
+        CompileKey{"raft", "large", 15, kReq, kNodeMajor, 65128},
+        CompileKey{"fragile", "large", 31, kReq, kNodeMajor, 38276},
+        CompileKey{"raft", "large", 21, kNotReq, kNodeMajor, 134925},
+        CompileKey{"opencontrail", "medium", 3, kNotReq, kSif, 16090},
+        CompileKey{"raft", "large", 17, kReq, kNodeMajor, 91379},
+        CompileKey{"opencontrail", "medium", 3, kReq, kSif, 26233},
+        CompileKey{"raft", "medium", 21, kReq, kNodeMajor, 136861},
+        CompileKey{"raft", "small", 15, kReq, kNodeMajor, 48995},
+        CompileKey{"opencontrail", "large", 3, kNotReq, kSif, 26229},
+        CompileKey{"fragile", "small", 31, kReq, kNodeMajor, 32311},
+        CompileKey{"raft", "large", 19, kReq, kNodeMajor, 123830},
+        CompileKey{"opencontrail", "large", 3, kReq, kSif, 36372},
+        CompileKey{"raft", "large", 15, kNotReq, kNodeMajor, 53816},
+        CompileKey{"fragile", "large", 25, kReq, kNodeMajor, 20866},
+        CompileKey{"opencontrail", "large", 3, kReq, kNodeMajor, 1805886}),
+    keyName);
+
+INSTANTIATE_TEST_SUITE_P(
+    RoleMajorKeys, BalancedFold,
+    testing::Values(
+        CompileKey{"opencontrail", "small", 3, kReq, kRoleMajor, 374},
+        CompileKey{"opencontrail", "medium", 3, kReq, kRoleMajor, 425},
+        CompileKey{"opencontrail", "large", 3, kReq, kRoleMajor, 478},
+        CompileKey{"opencontrail", "large", 5, kReq, kRoleMajor, 5783},
+        CompileKey{"raft", "large", 5, kReq, kRoleMajor, 1313}),
     keyName);
 
 } // anonymous namespace

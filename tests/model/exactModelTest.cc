@@ -227,6 +227,26 @@ TEST(ExactPlaneModelTest, ScratchAndScratchlessAgreeBitExactly)
     }
 }
 
+TEST(ExactPlaneModelTest, EvaluationKeepsItsInputsInTheScratch)
+{
+    // The per-component probabilities live in the caller's scratch:
+    // after the first call, evaluations reuse that one buffer.
+    auto catalog = fmea::openContrail3();
+    ExactPlaneModel engine(catalog, topology::largeTopology(),
+                           SupervisorPolicy::Required,
+                           Plane::ControlPlane);
+    sdnav::bdd::ProbabilityScratch scratch;
+    SwParams base;
+    const double first = engine.availability(base, scratch);
+    const double *held = scratch.inputs().data();
+    ASSERT_EQ(scratch.inputs().size(), engine.componentCount());
+    for (double shift : {-1.0, 0.0, 1.0}) {
+        engine.availability(base.withDowntimeShift(shift), scratch);
+        EXPECT_EQ(scratch.inputs().data(), held);
+    }
+    EXPECT_EQ(engine.availability(base, scratch), first);
+}
+
 TEST(ExactPlaneModelTest, RepeatedEvaluationDoesNotGrowBdd)
 {
     auto catalog = fmea::openContrail3();
@@ -331,11 +351,11 @@ TEST(ExactPlaneModelTest, GoldenModelsMatchReferenceEvaluationBitExactly)
         ExactPlaneModel model(c.catalog, c.topo, c.policy, c.plane,
                               options);
         auto oracle = buildExactSystem(c.catalog, c.topo, c.policy,
-                                       SwParams{}, c.plane, nullptr,
-                                       c.order);
+                                       SwParams{}, c.plane);
         EXPECT_EQ(model.componentCount(), oracle.componentCount())
             << c.label;
-        sdnav::bdd::BddManager fresh;
+        sdnav::bdd::BddManager fresh(exactVariableLevels(
+            c.catalog, c.topo, c.policy, c.plane, c.order));
         sdnav::bdd::NodeRef root = oracle.compile(fresh);
         EXPECT_EQ(model.bddNodeCount(), fresh.nodeCount(root))
             << c.label;
@@ -343,8 +363,7 @@ TEST(ExactPlaneModelTest, GoldenModelsMatchReferenceEvaluationBitExactly)
         for (double shift : {-1.0, 0.5}) {
             SwParams params = SwParams{}.withDowntimeShift(shift);
             auto system = buildExactSystem(c.catalog, c.topo, c.policy,
-                                           params, c.plane, nullptr,
-                                           c.order);
+                                           params, c.plane);
             double expected = sdnav::test::referenceProbability(
                 fresh, root, system.availabilities());
             EXPECT_EQ(model.availability(params, scratch), expected)
@@ -367,9 +386,9 @@ TEST(ExactPlaneModelTest, GoldenModelsGradientMatchesReference)
         if (c.topo.clusterSize() != 3)
             continue;
         auto system = buildExactSystem(c.catalog, c.topo, c.policy,
-                                       SwParams{}, c.plane, nullptr,
-                                       c.order);
-        sdnav::bdd::BddManager manager;
+                                       SwParams{}, c.plane);
+        sdnav::bdd::BddManager manager(exactVariableLevels(
+            c.catalog, c.topo, c.policy, c.plane, c.order));
         sdnav::bdd::NodeRef root = system.compile(manager);
         const std::vector<double> &probs = system.availabilities();
         sdnav::bdd::ProbabilityScratch scratch;

@@ -49,12 +49,13 @@ TEST(ModelCache, MissThenHit)
 TEST(ModelCache, CoalescedWaiterGetsTheCompilesFailure)
 {
     ModelCache cache(2);
-    // OpenContrail Large x6 compiles for minutes; the wall deadline
-    // ends it, and the node cap bounds its memory if that comes first.
+    // OpenContrail Large x12 compiles for tens of seconds under any
+    // order; the wall deadline ends it, and the node cap bounds its
+    // memory if that comes first.
     cache.setCompileBudget(bdd::StepBudget{1000.0, 3000000});
     QuerySpec runaway;
     runaway.topology = "large";
-    runaway.nodes = 6;
+    runaway.nodes = 12;
     std::string compilerError;
     std::thread compiler([&] {
         try {
@@ -89,12 +90,12 @@ TEST(ModelCache, CompileSlotsBoundCompilesAndAbortsReleaseThem)
 {
     // One slot: a second compile must wait until the first ends.
     auto cache = std::make_shared<ModelCache>(2, 1);
-    // OpenContrail Large x6 compiles for minutes; the wall deadline
-    // ends it well after the cheap key below starts waiting.
+    // OpenContrail Large x12 compiles for tens of seconds; the wall
+    // deadline ends it well after the cheap key below starts waiting.
     cache->setCompileBudget(bdd::StepBudget{300.0, 0});
     QuerySpec runaway;
     runaway.topology = "large";
-    runaway.nodes = 6;
+    runaway.nodes = 12;
     bool aborted = false;
     std::thread compiler([&] {
         try {
@@ -196,25 +197,31 @@ TEST(ModelCache, CapacityAccountingStaysExact)
 
 TEST(ModelCache, ReferenceModelFootprintIsPinned)
 {
-    // OpenContrail Large x3 CP (the default query): the `stats`
-    // bdd_nodes value counts the frozen diagram, which holds exactly
-    // the nodes reachable from the compiled root.
+    // OpenContrail Large x3 CP (the default query), compiled
+    // role-major: the `stats` bdd_nodes value counts the frozen
+    // diagram, which holds exactly the nodes reachable from the
+    // compiled root.
     ModelCache cache(2);
     CacheLookup lookup = cache.acquire(QuerySpec{});
-    EXPECT_EQ(lookup.model->bddNodeCount(), 36372u);
-    EXPECT_EQ(cache.totalBddNodes(), 36372u);
+    EXPECT_EQ(lookup.model->variableOrder(),
+              model::ExactVariableOrder::RoleMajor);
+    EXPECT_EQ(lookup.model->bddNodeCount(), 478u);
+    EXPECT_EQ(cache.totalBddNodes(), 478u);
 }
 
 TEST(ModelCache, CompileFaultsAreCountedOnMissesOnly)
 {
-    // The OpenContrail Large x3 build arena is over a megabyte of
-    // freshly mapped pages, so its compile must fault; a hit compiles
-    // nothing and reports no faults.
+    // The raft Large x21 build arena is over a megabyte of freshly
+    // mapped pages, so its compile must fault; a hit compiles nothing
+    // and reports no faults.
     ModelCache cache(2);
-    CacheLookup miss = cache.acquire(QuerySpec{});
+    QuerySpec query;
+    query.catalog = "raft";
+    query.nodes = 21;
+    CacheLookup miss = cache.acquire(query);
     ASSERT_FALSE(miss.hit);
     EXPECT_GT(miss.compileMinorFaults, 0u);
-    CacheLookup hit = cache.acquire(QuerySpec{});
+    CacheLookup hit = cache.acquire(query);
     ASSERT_TRUE(hit.hit);
     EXPECT_EQ(hit.compileMinorFaults, 0u);
 }

@@ -125,10 +125,14 @@ TEST(Server, HitEqualsMissReplyAndDirectEvaluation)
     EXPECT_EQ(hit.at("cache").asString(), "hit");
 
     auto catalog = fmea::openContrail3();
-    model::ExactPlaneModel direct(
-        catalog, topology::smallTopology(catalog.roles().size(), 3),
-        model::SupervisorPolicy::Required, fmea::Plane::ControlPlane,
-        {});
+    auto topo = topology::smallTopology(catalog.roles().size(), 3);
+    model::ExactPlaneModel::Options options;
+    options.order = model::chooseVariableOrder(
+        catalog, topo, model::SupervisorPolicy::Required,
+        fmea::Plane::ControlPlane);
+    model::ExactPlaneModel direct(catalog, topo,
+                                  model::SupervisorPolicy::Required,
+                                  fmea::Plane::ControlPlane, options);
     model::SwParams params;
     params.processAvailability = 0.9993;
     params.vmAvailability = 0.9991;
@@ -138,6 +142,65 @@ TEST(Server, HitEqualsMissReplyAndDirectEvaluation)
     EXPECT_EQ(hit.at("availability").asNumber(),
               direct.availability(params));
 
+    srv.requestStop();
+    srv.wait();
+}
+
+TEST(Server, RepliesEqualADirectModelUnderTheChosenOrder)
+{
+    Server srv(testOptions());
+    srv.start();
+    LineClient client;
+    client.connect(srv.port());
+
+    struct Key
+    {
+        const char *catalog;
+        int nodes;
+    };
+    model::SwParams params;
+    params.processAvailability = 0.9993;
+    params.vmAvailability = 0.9991;
+    for (Key key : {Key{"opencontrail", 3}, Key{"opencontrail", 5},
+                    Key{"raft", 5}, Key{"raft", 15}}) {
+        json::Value doc = json::Value::makeObject();
+        doc.set("id", 1);
+        doc.set("catalog", key.catalog);
+        doc.set("topology", "large");
+        doc.set("nodes", key.nodes);
+        json::Value p = json::Value::makeObject();
+        p.set("a", params.processAvailability);
+        p.set("av", params.vmAvailability);
+        doc.set("params", std::move(p));
+        json::Value reply = roundTrip(client, doc.dump());
+        ASSERT_TRUE(reply.at("ok").asBool()) << reply.dump();
+
+        auto catalog = std::string(key.catalog) == "raft"
+                           ? fmea::raftStyleController()
+                           : fmea::openContrail3();
+        auto topo = topology::largeTopology(
+            catalog.roles().size(), static_cast<std::size_t>(key.nodes));
+        model::ExactPlaneModel::Options options;
+        options.order = model::chooseVariableOrder(
+            catalog, topo, model::SupervisorPolicy::Required,
+            fmea::Plane::ControlPlane);
+        model::ExactPlaneModel direct(catalog, topo,
+                                      model::SupervisorPolicy::Required,
+                                      fmea::Plane::ControlPlane, options);
+        // 0 ulp: the same diagram, evaluated by the same kernel.
+        const double availability = reply.at("availability").asNumber();
+        EXPECT_EQ(availability, direct.availability(params))
+            << key.catalog << " " << key.nodes;
+
+        if (key.nodes == 3) {
+            // Against the golden order's diagram: rounding only.
+            model::ExactPlaneModel sif(catalog, topo,
+                                       model::SupervisorPolicy::Required,
+                                       fmea::Plane::ControlPlane);
+            const double golden = sif.availability(params);
+            EXPECT_NEAR(availability, golden, 1e-14 * golden);
+        }
+    }
     srv.requestStop();
     srv.wait();
 }
@@ -222,8 +285,9 @@ TEST(Server, HitIsAnsweredWhileTheOnlyWorkerCompiles)
     ServerOptions options = testOptions();
     options.workers = 1;
     options.requestLogPath = path;
-    // OpenContrail Large x6 compiles for minutes: the wall deadline
-    // ends it, and the node cap bounds its memory if that comes first.
+    // OpenContrail Large x12 compiles for tens of seconds under any
+    // order: the wall deadline ends it, and the node cap bounds its
+    // memory if that comes first.
     options.compileBudgetMs = 1000.0;
     options.compileNodeCap = 3000000;
     std::string hitKey;
@@ -247,7 +311,7 @@ TEST(Server, HitIsAnsweredWhileTheOnlyWorkerCompiles)
             client.connect(srv.port());
             replyA = roundTrip(client,
                                R"({"id":7,"catalog":"opencontrail",)"
-                               R"("topology":"large","nodes":6})");
+                               R"("topology":"large","nodes":12})");
             orderA = ++order;
         });
         std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -646,8 +710,8 @@ TEST(Server, PromEndpointServesTheExpositionOverHttp)
 TEST(Server, CompileBudgetTurnsRunawayCompilesIntoErrorReplies)
 {
     ServerOptions options = testOptions();
-    // OpenContrail Large blows through this cap within milliseconds;
-    // the small single-node models stay far beneath it.
+    // OpenContrail Large x12 blows through this cap within
+    // milliseconds; the small single-node models stay far beneath it.
     options.compileNodeCap = 20000;
     Server srv(options);
     srv.start();
@@ -656,7 +720,7 @@ TEST(Server, CompileBudgetTurnsRunawayCompilesIntoErrorReplies)
 
     const std::string runaway =
         R"({"id":7,"catalog":"opencontrail",)"
-        R"("topology":"large","nodes":6})";
+        R"("topology":"large","nodes":12})";
     json::Value reply = roundTrip(client, runaway);
     ASSERT_FALSE(reply.at("ok").asBool()) << reply.dump();
     EXPECT_TRUE(reply.at("budget_exceeded").asBool());
@@ -707,7 +771,7 @@ TEST(Server, ConcurrentBudgetAbortsLeaveEveryWorkerServing)
                 json::Value bad = roundTrip(
                     client,
                     R"({"id":1,"catalog":"opencontrail",)"
-                    R"("topology":"large","nodes":6})");
+                    R"("topology":"large","nodes":12})");
                 if (!bad.at("ok").asBool() &&
                     bad.at("budget_exceeded").asBool())
                     aborts.fetch_add(1);
@@ -782,8 +846,8 @@ TEST(Server, RequestLogWritesOneRecordPerRequest)
     // The two queries: miss then hit, with the model key recorded.
     for (const char *key :
          {"id", "peer", "kind", "key", "cache", "queue_wait_ms",
-          "compile_ms", "compile_minor_faults", "eval_ms",
-          "reply_bytes", "latency_ms", "outcome"})
+          "compile_ms", "compile_minor_faults", "variable_order",
+          "eval_ms", "reply_bytes", "latency_ms", "outcome"})
         EXPECT_TRUE(records[0].contains(key)) << "missing " << key;
     EXPECT_EQ(records[0].at("kind").asString(), "query");
     EXPECT_EQ(records[0].at("cache").asString(), "miss");
@@ -800,6 +864,16 @@ TEST(Server, RequestLogWritesOneRecordPerRequest)
     EXPECT_EQ(records[1].at("cache").asString(), "hit");
     EXPECT_EQ(records[1].at("compile_ms").asNumber(), 0.0);
     EXPECT_EQ(records[1].at("compile_minor_faults").asNumber(), 0.0);
+    // The miss names the order its model was compiled under; the hit
+    // compiled nothing.
+    auto catalog = fmea::openContrail3();
+    EXPECT_EQ(records[0].at("variable_order").asString(),
+              model::variableOrderName(model::chooseVariableOrder(
+                  catalog,
+                  topology::smallTopology(catalog.roles().size(), 1),
+                  model::SupervisorPolicy::Required,
+                  fmea::Plane::ControlPlane)));
+    EXPECT_EQ(records[1].at("variable_order").asString(), "");
 
     // The command: no key, no cache interaction, still logged.
     EXPECT_EQ(records[2].at("kind").asString(), "cmd:ping");
@@ -832,7 +906,7 @@ TEST(Server, RequestLogRecordsBudgetAbortsAsSuch)
         json::Value reply = roundTrip(
             client,
             R"({"id":1,"catalog":"opencontrail",)"
-            R"("topology":"large","nodes":6})");
+            R"("topology":"large","nodes":12})");
         EXPECT_FALSE(reply.at("ok").asBool());
         srv.requestStop();
         srv.wait();
