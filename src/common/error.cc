@@ -7,7 +7,7 @@ namespace sdnav
 {
 
 double
-requireProbability(double value, const std::string &name)
+requireProbability(double value, std::string_view name)
 {
     if (!(value >= 0.0 && value <= 1.0) || std::isnan(value)) {
         std::ostringstream os;
@@ -18,7 +18,7 @@ requireProbability(double value, const std::string &name)
 }
 
 double
-requirePositive(double value, const std::string &name)
+requirePositive(double value, std::string_view name)
 {
     if (!(value > 0.0) || std::isnan(value) || std::isinf(value)) {
         std::ostringstream os;
@@ -29,7 +29,7 @@ requirePositive(double value, const std::string &name)
 }
 
 double
-requireNonNegative(double value, const std::string &name)
+requireNonNegative(double value, std::string_view name)
 {
     if (!(value >= 0.0) || std::isnan(value) || std::isinf(value)) {
         std::ostringstream os;

@@ -12,6 +12,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace sdnav
 {
@@ -41,6 +42,14 @@ require(bool condition, const std::string &message)
         throw ModelError(message);
 }
 
+/** As above for a literal message: no string is built unless it throws. */
+inline void
+require(bool condition, const char *message)
+{
+    if (!condition)
+        throw ModelError(message);
+}
+
 /**
  * Validate that a value is a probability (within [0, 1]).
  *
@@ -48,7 +57,7 @@ require(bool condition, const std::string &message)
  * @param name Parameter name used in the error message.
  * @return The validated value, for use in initializer expressions.
  */
-double requireProbability(double value, const std::string &name);
+double requireProbability(double value, std::string_view name);
 
 /**
  * Validate that a value is strictly positive.
@@ -57,7 +66,7 @@ double requireProbability(double value, const std::string &name);
  * @param name Parameter name used in the error message.
  * @return The validated value.
  */
-double requirePositive(double value, const std::string &name);
+double requirePositive(double value, std::string_view name);
 
 /**
  * Validate that a value is non-negative.
@@ -66,7 +75,7 @@ double requirePositive(double value, const std::string &name);
  * @param name Parameter name used in the error message.
  * @return The validated value.
  */
-double requireNonNegative(double value, const std::string &name);
+double requireNonNegative(double value, std::string_view name);
 
 } // namespace sdnav
 

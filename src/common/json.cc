@@ -1,10 +1,10 @@
 #include "common/json.hh"
 
-#include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <system_error>
 
 #include "common/error.hh"
 
@@ -106,45 +106,53 @@ Value::set(const std::string &key, Value value)
     members.emplace_back(key, std::move(value));
 }
 
-bool
-Value::contains(const std::string &key) const
+const Value *
+Value::find(std::string_view key) const
 {
     if (type_ != Type::Object)
-        return false;
+        return nullptr;
     for (const auto &member : object_) {
         if (member.first == key)
-            return true;
+            return &member.second;
     }
-    return false;
+    return nullptr;
+}
+
+bool
+Value::contains(std::string_view key) const
+{
+    return find(key) != nullptr;
 }
 
 const Value &
-Value::at(const std::string &key) const
+Value::at(std::string_view key) const
 {
     require(type_ == Type::Object, "JSON value is not an object");
-    for (const auto &member : object_) {
-        if (member.first == key)
-            return member.second;
-    }
-    throw ModelError("JSON object has no member '" + key + "'");
+    if (const Value *member = find(key))
+        return *member;
+    throw ModelError("JSON object has no member '" + std::string(key) +
+                     "'");
 }
 
 double
 Value::numberOr(const std::string &key, double fallback) const
 {
-    return contains(key) ? at(key).asNumber() : fallback;
+    const Value *member = find(key);
+    return member ? member->asNumber() : fallback;
 }
 
 std::string
 Value::stringOr(const std::string &key, std::string fallback) const
 {
-    return contains(key) ? at(key).asString() : std::move(fallback);
+    const Value *member = find(key);
+    return member ? member->asString() : std::move(fallback);
 }
 
 bool
 Value::boolOr(const std::string &key, bool fallback) const
 {
-    return contains(key) ? at(key).asBool() : fallback;
+    const Value *member = find(key);
+    return member ? member->asBool() : fallback;
 }
 
 bool
@@ -169,14 +177,18 @@ Value::operator==(const Value &other) const
     return false;
 }
 
-namespace
-{
-
 void
-escapeString(std::string &out, const std::string &s)
+appendString(std::string &out, std::string_view s)
 {
     out += '"';
-    for (char c : s) {
+    // Copy the runs between escapes whole.
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const char c = s[i];
+        if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20)
+            continue;
+        out.append(s.data() + run, i - run);
+        run = i + 1;
         switch (c) {
           case '"':
             out += "\\\"";
@@ -199,53 +211,54 @@ escapeString(std::string &out, const std::string &s)
           case '\f':
             out += "\\f";
             break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                // Widen through unsigned char: a plain signed char
-                // would sign-extend bytes >= 0x80 into "￿ff80"
-                // garbage if the escape set ever grows past the
-                // control range.
-                char buf[8];
-                std::snprintf(
-                    buf, sizeof(buf), "\\u%04x",
-                    static_cast<unsigned>(
-                        static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
+          default: {
+            // Widen through unsigned char: a plain signed char would
+            // sign-extend into garbage if the escape set ever grows
+            // past the control range.
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x",
+                          static_cast<unsigned>(
+                              static_cast<unsigned char>(c)));
+            out += buf;
+          }
         }
     }
+    out.append(s.data() + run, s.size() - run);
     out += '"';
 }
 
 void
-formatNumber(std::string &out, double value)
+appendNumber(std::string &out, double value)
 {
     require(std::isfinite(value),
             "JSON cannot represent non-finite numbers");
-    if (value == static_cast<double>(static_cast<long long>(value)) &&
-        std::fabs(value) < 1e15) {
-        out += std::to_string(static_cast<long long>(value));
-        return;
-    }
-    // Shortest representation that round-trips exactly.
-    for (int precision = 15; precision <= 17; ++precision) {
-        std::ostringstream os;
-        os.precision(precision);
-        os << value;
-        if (std::stod(os.str()) == value) {
-            out += os.str();
-            return;
+    // std::to_chars writes exactly what printf("%.{p}g") does, in the
+    // C locale, without a stream or an allocation.
+    char buf[32];
+    char *end;
+    // Bound the magnitude before the cast: converting a double
+    // outside long long's range is undefined.
+    if (std::fabs(value) < 1e15 &&
+        value == static_cast<double>(static_cast<long long>(value))) {
+        end = std::to_chars(buf, buf + sizeof(buf),
+                            static_cast<long long>(value))
+                  .ptr;
+    } else {
+        // Shortest representation that round-trips exactly; 17
+        // significant digits always do.
+        for (int precision = 15;; ++precision) {
+            end = std::to_chars(buf, buf + sizeof(buf), value,
+                                std::chars_format::general, precision)
+                      .ptr;
+            double back = 0.0;
+            if (precision == 17 ||
+                (std::from_chars(buf, end, back).ec == std::errc() &&
+                 back == value))
+                break;
         }
     }
-    std::ostringstream os;
-    os.precision(17);
-    os << value;
-    out += os.str();
+    out.append(buf, end);
 }
-
-} // anonymous namespace
 
 void
 Value::dumpTo(std::string &out, int indent, int depth) const
@@ -265,10 +278,10 @@ Value::dumpTo(std::string &out, int indent, int depth) const
         out += bool_ ? "true" : "false";
         break;
       case Type::Number:
-        formatNumber(out, number_);
+        appendNumber(out, number_);
         break;
       case Type::String:
-        escapeString(out, string_);
+        appendString(out, string_);
         break;
       case Type::Array: {
         if (array_.empty()) {
@@ -300,7 +313,7 @@ Value::dumpTo(std::string &out, int indent, int depth) const
                 out += ',';
             first = false;
             newline(1);
-            escapeString(out, member.first);
+            appendString(out, member.first);
             out += indent > 0 ? ": " : ":";
             member.second.dumpTo(out, indent, depth + 1);
         }
@@ -343,10 +356,11 @@ class Parser
     [[noreturn]] void
     fail(const std::string &message) const
     {
-        std::ostringstream os;
-        os << "JSON parse error at offset " << pos_ << ": " << message;
-        throw ModelError(os.str());
+        throw ModelError("JSON parse error at offset " +
+                         std::to_string(pos_) + ": " + message);
     }
+
+    static bool isDigit(char c) { return c >= '0' && c <= '9'; }
 
     void
     skipWhitespace()
@@ -425,12 +439,15 @@ class Parser
     parseObject(int depth)
     {
         expect('{');
-        Value result = Value::makeObject();
+        // Built aside and wrapped once; the reserve covers a request
+        // line's members in one allocation.
+        Value::Object members;
         skipWhitespace();
         if (peek() == '}') {
             ++pos_;
-            return result;
+            return Value(std::move(members));
         }
+        members.reserve(8);
         for (;;) {
             skipWhitespace();
             if (peek() != '"')
@@ -439,13 +456,15 @@ class Parser
             skipWhitespace();
             expect(':');
             Value value = parseValue(depth + 1);
-            if (result.contains(key))
-                fail("duplicate object key '" + key + "'");
-            result.set(key, std::move(value));
+            for (const auto &member : members) {
+                if (member.first == key)
+                    fail("duplicate object key '" + key + "'");
+            }
+            members.emplace_back(std::move(key), std::move(value));
             skipWhitespace();
             char c = take();
             if (c == '}')
-                return result;
+                return Value(std::move(members));
             if (c != ',')
                 fail("expected ',' or '}' in object");
         }
@@ -478,6 +497,15 @@ class Parser
         expect('"');
         std::string out;
         for (;;) {
+            // Copy the run up to the next quote, escape or control
+            // character whole.
+            std::size_t run = pos_;
+            while (run < text_.size() && text_[run] != '"' &&
+                   text_[run] != '\\' &&
+                   static_cast<unsigned char>(text_[run]) >= 0x20)
+                ++run;
+            out.append(text_, pos_, run - pos_);
+            pos_ = run;
             char c = take();
             if (c == '"')
                 return out;
@@ -556,27 +584,39 @@ class Parser
         std::size_t start = pos_;
         if (peek() == '-')
             ++pos_;
-        if (!std::isdigit(static_cast<unsigned char>(peek())))
+        if (!isDigit(peek()))
             fail("invalid number");
-        while (std::isdigit(static_cast<unsigned char>(peek())))
+        while (isDigit(peek()))
             ++pos_;
         if (peek() == '.') {
             ++pos_;
-            if (!std::isdigit(static_cast<unsigned char>(peek())))
+            if (!isDigit(peek()))
                 fail("digit required after decimal point");
-            while (std::isdigit(static_cast<unsigned char>(peek())))
+            while (isDigit(peek()))
                 ++pos_;
         }
         if (peek() == 'e' || peek() == 'E') {
             ++pos_;
             if (peek() == '+' || peek() == '-')
                 ++pos_;
-            if (!std::isdigit(static_cast<unsigned char>(peek())))
+            if (!isDigit(peek()))
                 fail("digit required in exponent");
-            while (std::isdigit(static_cast<unsigned char>(peek())))
+            while (isDigit(peek()))
                 ++pos_;
         }
-        return Value(std::stod(text_.substr(start, pos_ - start)));
+        // The span is valid JSON, so from_chars reads all of it; it
+        // rounds subnormals to nearest and flags only literals whose
+        // magnitude overflows or underflows to zero.
+        double value = 0.0;
+        const char *first = text_.data() + start;
+        const char *last = text_.data() + pos_;
+        auto [end, ec] = std::from_chars(first, last, value);
+        if (ec != std::errc() || end != last) {
+            pos_ = start;
+            fail(ec == std::errc::result_out_of_range ? "number out of range"
+                                                      : "invalid number");
+        }
+        return Value(value);
     }
 
     const std::string &text_;

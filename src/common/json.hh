@@ -18,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -76,14 +77,20 @@ class Value
     /** Set an object member (replaces an existing key). */
     void set(const std::string &key, Value value);
 
+    /**
+     * Object member lookup in one pass: the member, or nullptr when
+     * absent or when this is not an object.
+     */
+    const Value *find(std::string_view key) const;
+
     /** True if an object contains the key. */
-    bool contains(const std::string &key) const;
+    bool contains(std::string_view key) const;
 
     /**
      * Object member lookup. @throws ModelError when absent or when
      * this is not an object.
      */
-    const Value &at(const std::string &key) const;
+    const Value &at(std::string_view key) const;
 
     /** Object member lookup with a default for absent keys. */
     double numberOr(const std::string &key, double fallback) const;
@@ -93,6 +100,9 @@ class Value
 
     /** Serialize; indent > 0 pretty-prints with that many spaces. */
     std::string dump(int indent = 0) const;
+
+    /** Append the compact serialization to out. */
+    void dump(std::string &out) const { dumpTo(out, 0, 0); }
 
     bool operator==(const Value &other) const;
 
@@ -108,7 +118,27 @@ class Value
 };
 
 /**
- * Parse a JSON document.
+ * Append s to out as a quoted, escaped JSON string. Value::dump
+ * writes strings through this, so a reply written without a tree
+ * escapes exactly as a dumped one.
+ */
+void appendString(std::string &out, std::string_view s);
+
+/**
+ * Append a finite number to out: an integer of magnitude below 1e15
+ * as its digits, any other value as the shortest of %.15g, %.16g and
+ * %.17g that reads back as the same double. The text never depends
+ * on the global locale. Value::dump writes numbers through this.
+ *
+ * @throws ModelError for NaN and infinities.
+ */
+void appendNumber(std::string &out, double value);
+
+/**
+ * Parse a JSON document. A number literal reads as its nearest
+ * double, subnormals included; one whose magnitude overflows, or
+ * underflows to zero although nonzero, is rejected as "number out of
+ * range" at its offset.
  *
  * @param text The document.
  * @return The root value.

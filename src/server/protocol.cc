@@ -1,6 +1,8 @@
 #include "server/protocol.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <string_view>
 
 #include "common/error.hh"
 #include "fmea/openContrail.hh"
@@ -15,50 +17,50 @@ namespace
 /** Reject unknown members so typos fail loudly, not silently. */
 void
 requireKnownMembers(const json::Value &doc,
-                    std::initializer_list<const char *> allowed,
-                    const std::string &context)
+                    std::initializer_list<std::string_view> allowed,
+                    const char *context)
 {
     for (const auto &[key, value] : doc.asObject()) {
-        bool known = false;
-        for (const char *candidate : allowed)
-            known = known || key == candidate;
-        require(known,
-                context + ": unknown member '" + key + "'");
+        if (std::find(allowed.begin(), allowed.end(), key) ==
+            allowed.end())
+            throw ModelError(std::string(context) +
+                             ": unknown member '" + key + "'");
     }
 }
 
 /** A member that must be a JSON number if present. */
 double
-numberMember(const json::Value &doc, const std::string &key,
-             double fallback)
+numberMember(const json::Value &doc, const char *key, double fallback)
 {
-    if (!doc.contains(key))
+    const json::Value *value = doc.find(key);
+    if (!value)
         return fallback;
-    const json::Value &value = doc.at(key);
-    require(value.isNumber(),
-            "member '" + key + "' must be a number");
-    return value.asNumber();
+    if (!value->isNumber())
+        throw ModelError(std::string("member '") + key +
+                         "' must be a number");
+    return value->asNumber();
 }
 
 /** A member that must be a JSON string if present. */
 std::string
-stringMember(const json::Value &doc, const std::string &key,
-             const std::string &fallback)
+stringMember(const json::Value &doc, const char *key,
+             const char *fallback)
 {
-    if (!doc.contains(key))
+    const json::Value *value = doc.find(key);
+    if (!value)
         return fallback;
-    const json::Value &value = doc.at(key);
-    require(value.isString(),
-            "member '" + key + "' must be a string");
-    return value.asString();
+    if (!value->isString())
+        throw ModelError(std::string("member '") + key +
+                         "' must be a string");
+    return value->asString();
 }
 
 model::SwParams
 parseParams(const json::Value &doc)
 {
     model::SwParams params;
-    if (doc.contains("timings")) {
-        const json::Value &timings = doc.at("timings");
+    if (const json::Value *found = doc.find("timings")) {
+        const json::Value &timings = *found;
         require(timings.isObject(),
                 "member 'timings' must be an object");
         requireKnownMembers(timings,
@@ -73,8 +75,8 @@ parseParams(const json::Value &doc)
         t.validate();
         params = model::SwParams::fromTimings(t);
     }
-    if (doc.contains("params")) {
-        const json::Value &overrides = doc.at("params");
+    if (const json::Value *found = doc.find("params")) {
+        const json::Value &overrides = *found;
         require(overrides.isObject(),
                 "member 'params' must be an object");
         requireKnownMembers(overrides, {"a", "as", "av", "ah", "ar"},
@@ -99,12 +101,20 @@ parseParams(const json::Value &doc)
 std::string
 QuerySpec::modelKey() const
 {
-    return "catalog=" + catalog + ";topology=" + topology +
-           ";nodes=" + std::to_string(nodes) + ";policy=" +
-           (policy == model::SupervisorPolicy::Required
-                ? "required"
-                : "not-required") +
-           ";plane=" + planeName();
+    std::string key;
+    key.reserve(96);
+    key += "catalog=";
+    key += catalog;
+    key += ";topology=";
+    key += topology;
+    key += ";nodes=";
+    key += std::to_string(nodes);
+    key += ";policy=";
+    key += policy == model::SupervisorPolicy::Required ? "required"
+                                                        : "not-required";
+    key += ";plane=";
+    key += planeName();
+    return key;
 }
 
 std::string
@@ -129,25 +139,27 @@ parseQuerySpec(const json::Value &doc, bool inBatch)
                             "query");
     }
 
+    // Messages are built only on the branch that throws: a valid
+    // line pays for none of them.
     QuerySpec spec;
-    spec.catalog = stringMember(doc, "catalog", spec.catalog);
-    require(spec.catalog == "opencontrail" ||
-                spec.catalog == "raft" || spec.catalog == "fragile",
-            "unknown catalog '" + spec.catalog +
-                "' (expected opencontrail | raft | fragile)");
+    spec.catalog = stringMember(doc, "catalog", "opencontrail");
+    if (spec.catalog != "opencontrail" && spec.catalog != "raft" &&
+        spec.catalog != "fragile")
+        throw ModelError("unknown catalog '" + spec.catalog +
+                         "' (expected opencontrail | raft | fragile)");
 
-    spec.topology = stringMember(doc, "topology", spec.topology);
-    require(spec.topology == "small" || spec.topology == "medium" ||
-                spec.topology == "large",
-            "unknown topology '" + spec.topology +
-                "' (expected small | medium | large)");
+    spec.topology = stringMember(doc, "topology", "large");
+    if (spec.topology != "small" && spec.topology != "medium" &&
+        spec.topology != "large")
+        throw ModelError("unknown topology '" + spec.topology +
+                         "' (expected small | medium | large)");
 
     double nodes =
         numberMember(doc, "nodes", static_cast<double>(spec.nodes));
-    require(nodes == std::floor(nodes) && nodes >= 1.0 &&
-                nodes <= static_cast<double>(kMaxClusterNodes),
-            "member 'nodes' must be an integer in [1, " +
-                std::to_string(kMaxClusterNodes) + "]");
+    if (!(nodes == std::floor(nodes) && nodes >= 1.0 &&
+          nodes <= static_cast<double>(kMaxClusterNodes)))
+        throw ModelError("member 'nodes' must be an integer in [1, " +
+                         std::to_string(kMaxClusterNodes) + "]");
     spec.nodes = static_cast<std::size_t>(nodes);
 
     std::string policy = stringMember(doc, "policy", "required");
@@ -181,12 +193,12 @@ parseRequest(const std::string &line, std::size_t maxBatch)
     require(doc.isObject(), "request must be a JSON object");
 
     Request request;
-    if (doc.contains("id"))
-        request.id = doc.at("id");
+    if (const json::Value *id = doc.find("id"))
+        request.id = *id;
 
-    if (doc.contains("cmd")) {
+    if (const json::Value *found = doc.find("cmd")) {
         requireKnownMembers(doc, {"cmd", "id"}, "command");
-        const json::Value &cmd = doc.at("cmd");
+        const json::Value &cmd = *found;
         require(cmd.isString(), "member 'cmd' must be a string");
         const std::string &name = cmd.asString();
         if (name == "ping") {
@@ -205,18 +217,18 @@ parseRequest(const std::string &line, std::size_t maxBatch)
         return request;
     }
 
-    if (doc.contains("queries")) {
+    if (const json::Value *found = doc.find("queries")) {
         requireKnownMembers(doc, {"queries", "id"}, "batch");
-        const json::Value &items = doc.at("queries");
+        const json::Value &items = *found;
         require(items.isArray(),
                 "member 'queries' must be an array");
         require(!items.asArray().empty(),
                 "batch must contain at least one query");
-        require(items.asArray().size() <= maxBatch,
-                "batch of " +
-                    std::to_string(items.asArray().size()) +
-                    " exceeds the limit of " +
-                    std::to_string(maxBatch));
+        if (items.asArray().size() > maxBatch)
+            throw ModelError("batch of " +
+                             std::to_string(items.asArray().size()) +
+                             " exceeds the limit of " +
+                             std::to_string(maxBatch));
         request.kind = Request::Kind::Batch;
         for (const json::Value &item : items.asArray()) {
             ParsedQuery parsed;
@@ -245,15 +257,26 @@ parseRequest(const std::string &line, std::size_t maxBatch)
     return request;
 }
 
+void
+openReply(std::string &out, const json::Value &id)
+{
+    out += '{';
+    if (id.isNull())
+        return;
+    out += "\"id\":";
+    id.dump(out);
+    out += ',';
+}
+
 std::string
 errorReplyLine(const json::Value &id, const std::string &reason)
 {
-    json::Value reply = json::Value::makeObject();
-    if (!id.isNull())
-        reply.set("id", id);
-    reply.set("ok", false);
-    reply.set("error", reason);
-    return reply.dump();
+    std::string out;
+    openReply(out, id);
+    out += "\"ok\":false,\"error\":";
+    json::appendString(out, reason);
+    out += '}';
+    return out;
 }
 
 fmea::ControllerCatalog

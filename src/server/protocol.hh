@@ -113,6 +113,13 @@ Request parseRequest(const std::string &line, std::size_t maxBatch);
 QuerySpec parseQuerySpec(const json::Value &doc, bool inBatch);
 
 /**
+ * Start a reply line in out: "{" and, when the request had an id,
+ * the echoed "id" member and its comma. The caller appends the other
+ * members and the closing "}"; every reply line starts here.
+ */
+void openReply(std::string &out, const json::Value &id);
+
+/**
  * Build the reply line (no trailing newline) for a failed request.
  *
  * @param id Echoed request id (null for unidentifiable requests).

@@ -29,12 +29,14 @@ RequestLog::append(const RequestRecord &record)
     doc.set("kind", record.kind);
     doc.set("key", record.key);
     doc.set("cache", record.cache);
+    doc.set("parse_ms", record.parseMs);
     doc.set("queue_wait_ms", record.queueWaitMs);
     doc.set("compile_ms", record.compileMs);
     doc.set("compile_minor_faults",
             static_cast<double>(record.compileMinorFaults));
     doc.set("variable_order", record.variableOrder);
     doc.set("eval_ms", record.evalMs);
+    doc.set("serialize_ms", record.serializeMs);
     doc.set("reply_bytes", static_cast<double>(record.replyBytes));
     doc.set("latency_ms", record.latencyMs);
     doc.set("outcome", record.outcome);

@@ -11,12 +11,20 @@
  *   {"id": 4711, "peer": "127.0.0.1:52114", "kind": "query",
  *    "key": "catalog=opencontrail;topology=large;nodes=3;...",
  *    "cache": "hit" | "miss" | "coalesced" | "mixed" | "",
- *    "queue_wait_ms": 0.01, "compile_ms": 0.0,
+ *    "parse_ms": 0.004, "queue_wait_ms": 0.01, "compile_ms": 0.0,
  *    "compile_minor_faults": 0,
  *    "variable_order": "role_major" | "node_major" | "sif" | "mixed"
  *                      | "",
- *    "eval_ms": 0.02, "reply_bytes": 213, "latency_ms": 0.21,
- *    "outcome": "ok" | "error" | "budget_exceeded"}
+ *    "eval_ms": 0.02, "serialize_ms": 0.001, "reply_bytes": 213,
+ *    "latency_ms": 0.21, "outcome": "ok" | "error" | "budget_exceeded"}
+ *
+ * parse_ms is the parseRequest call (JSON parse and validation) and
+ * serialize_ms the writing of the reply text, so a request's stages
+ * read parse, queue wait, compile, eval, serialize; latency_ms less
+ * their sum is what the session spent around them (spans, counters,
+ * the log itself). Both are wall times on the session thread, except
+ * that a batch sums its items' serialize times across the threads
+ * that ran them.
  *
  * compile_minor_faults counts the minor page faults the compiling
  * thread took inside its compile (getrusage RUSAGE_THREAD read around
@@ -62,10 +70,17 @@ struct RequestRecord
     /** Aggregate cache outcome; "mixed" when batch items disagree. */
     std::string cache;
 
+    /** The parseRequest call, failed parses included. */
+    double parseMs = 0.0;
+
     /** Summed over batch items; zero for commands. */
     double queueWaitMs = 0.0;
     double compileMs = 0.0;
     double evalMs = 0.0;
+
+    /** Writing the reply text: each item's answer members (summed
+     *  over batch items) plus the envelope around them. */
+    double serializeMs = 0.0;
 
     /** Minor page faults the compiling threads took; summed like
      *  compileMs, so 0 on hits and coalesced waits. */

@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -294,25 +295,27 @@ Server::reapSessions(bool joinAll)
 void
 Server::sessionLoop(Session &session)
 {
+    // A blocking recv that times out every kPollMs: one syscall per
+    // read, and the stop flag is still checked that often.
+    timeval timeout{0, kPollMs * 1000};
+    ::setsockopt(session.fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                 sizeof(timeout));
+
     // Lines are consumed by offset and the buffer is compacted once
     // per recv, so a burst of pipelined lines costs linear time.
     std::string buffer;
     std::string line;
+    std::string out; // one reply at a time; keeps its capacity
     bool discarding = false;
     char chunk[4096];
 
     while (!stopping()) {
-        pollfd pfd{session.fd, POLLIN, 0};
-        int ready = ::poll(&pfd, 1, kPollMs);
-        if (ready < 0 && errno != EINTR)
-            break;
-        if (ready <= 0)
-            continue;
         ssize_t n = ::recv(session.fd, chunk, sizeof(chunk), 0);
         if (n == 0)
             break; // client closed (possibly mid-line: just ends)
         if (n < 0) {
-            if (errno == EINTR)
+            if (errno == EINTR || errno == EAGAIN ||
+                errno == EWOULDBLOCK)
                 continue;
             break;
         }
@@ -358,9 +361,18 @@ Server::sessionLoop(Session &session)
                 line.pop_back();
             if (line.empty())
                 continue;
-            std::string reply = handleLine(line, session.peer);
-            reply.push_back('\n');
-            if (!sendAll(session.fd, reply))
+            out.clear();
+            try {
+                handleLine(line, session.peer, out);
+            } catch (const std::exception &e) {
+                // A fault in answering one line is that line's error
+                // reply; the session keeps serving.
+                errors_.fetch_add(1, std::memory_order_relaxed);
+                errorCounter().add();
+                out = errorReplyLine(json::Value{}, e.what());
+            }
+            out.push_back('\n');
+            if (!sendAll(session.fd, out))
                 goto done;
         }
         buffer.erase(0, start);
@@ -370,8 +382,9 @@ done:
     ::close(session.fd);
 }
 
-std::string
-Server::handleLine(const std::string &line, const std::string &peer)
+void
+Server::handleLine(const std::string &line, const std::string &peer,
+                   std::string &out)
 {
     auto t0 = std::chrono::steady_clock::now();
     std::uint64_t requestId =
@@ -384,9 +397,11 @@ Server::handleLine(const std::string &line, const std::string &peer)
     record.id = requestId;
     record.peer = peer;
 
-    // Every exit runs through here: measure, flag slow requests, and
-    // append the request-log line after the reply is final.
-    auto finish = [&](std::string reply) {
+    // Every exit runs through here once it has written the reply
+    // from `written` on: measure, flag slow requests, and append the
+    // request-log line after the reply is final.
+    auto finish = [&](std::chrono::steady_clock::time_point written) {
+        record.serializeMs += elapsedMs(written);
         double latency = elapsedMs(t0);
         latencyHistogram().record(latency);
         if (options_.slowMs > 0.0 && latency > options_.slowMs) {
@@ -395,51 +410,56 @@ Server::handleLine(const std::string &line, const std::string &peer)
             obs::Tracer::global().instant("server.slow_request",
                                           requestId);
         }
-        record.replyBytes = reply.size();
+        record.replyBytes = out.size();
         record.latencyMs = latency;
         requestLog_.append(record);
-        return reply;
     };
 
     Request request;
     try {
         request = parseRequest(line, options_.maxBatch);
+        record.parseMs = elapsedMs(t0);
     } catch (const std::exception &e) {
+        record.parseMs = elapsedMs(t0);
         errors_.fetch_add(1, std::memory_order_relaxed);
         errorCounter().add();
         record.kind = "invalid";
         record.outcome = "error";
-        return finish(errorReplyLine(json::Value{}, e.what()));
+        auto written = std::chrono::steady_clock::now();
+        out = errorReplyLine(json::Value{}, e.what());
+        return finish(written);
     }
 
-    json::Value reply = json::Value::makeObject();
-    if (!request.id.isNull())
-        reply.set("id", request.id);
-
+    // A command's reply is written right away, a query's once it ran.
+    auto written = std::chrono::steady_clock::now();
     record.outcome = "ok";
     switch (request.kind) {
     case Request::Kind::Ping:
         record.kind = "cmd:ping";
-        reply.set("ok", true);
-        reply.set("pong", true);
-        return finish(reply.dump());
+        openReply(out, request.id);
+        out += "\"ok\":true,\"pong\":true}";
+        return finish(written);
     case Request::Kind::Stats:
         record.kind = "cmd:stats";
-        reply.set("ok", true);
-        reply.set("stats", statsJson());
-        return finish(reply.dump());
+        openReply(out, request.id);
+        out += "\"ok\":true,\"stats\":";
+        statsJson().dump(out);
+        out += '}';
+        return finish(written);
     case Request::Kind::Metrics:
         record.kind = "cmd:metrics";
-        reply.set("ok", true);
-        reply.set("metrics",
-                  obs::Registry::global().prometheusText());
-        return finish(reply.dump());
+        openReply(out, request.id);
+        out += "\"ok\":true,\"metrics\":";
+        json::appendString(out,
+                           obs::Registry::global().prometheusText());
+        out += '}';
+        return finish(written);
     case Request::Kind::Shutdown:
         record.kind = "cmd:shutdown";
-        reply.set("ok", true);
-        reply.set("stopping", true);
+        openReply(out, request.id);
+        out += "\"ok\":true,\"stopping\":true}";
         requestStop();
-        return finish(reply.dump());
+        return finish(written);
     case Request::Kind::Query:
     case Request::Kind::Batch:
         break;
@@ -447,10 +467,13 @@ Server::handleLine(const std::string &line, const std::string &peer)
 
     record.kind =
         request.kind == Request::Kind::Query ? "query" : "batch";
-    if (request.kind == Request::Kind::Query && request.queries[0].ok)
-        record.key = request.queries[0].spec.modelKey();
-    else if (request.kind == Request::Kind::Batch)
-        record.key = "batch";
+    // The key only names the request in the log.
+    if (requestLog_.enabled()) {
+        if (request.kind == Request::Kind::Batch)
+            record.key = "batch";
+        else if (request.queries[0].ok)
+            record.key = request.queries[0].spec.modelKey();
+    }
 
     // Fold each item's telemetry into the request-log record. A
     // label the items disagree on reads "mixed".
@@ -470,11 +493,12 @@ Server::handleLine(const std::string &line, const std::string &peer)
         record.compileMs += telemetry.compileMs;
         record.compileMinorFaults += telemetry.compileMinorFaults;
         record.evalMs += telemetry.evalMs;
+        record.serializeMs += telemetry.serializeMs;
         fold(record.cache, telemetry.cache);
         fold(record.variableOrder, telemetry.variableOrder);
         if (telemetry.budgetExceeded)
             anyBudgetExceeded = true;
-        if (!result.reply.at("ok").asBool())
+        if (!result.ok)
             anyError = true;
     };
     auto settle = [&] {
@@ -487,10 +511,11 @@ Server::handleLine(const std::string &line, const std::string &peer)
         JobResult result = serveQuery(request.queries[0], requestId);
         account(result);
         settle();
-        // Merge the result into the id-bearing envelope.
-        for (const auto &[key, value] : result.reply.asObject())
-            reply.set(key, value);
-        return finish(reply.dump());
+        written = std::chrono::steady_clock::now();
+        openReply(out, request.id);
+        out += result.members;
+        out += '}';
+        return finish(written);
     }
 
     // Items may run on any thread; results stay keyed by index, so
@@ -502,15 +527,18 @@ Server::handleLine(const std::string &line, const std::string &peer)
                         results[i] =
                             serveQuery(request.queries[i], requestId);
                 });
-    json::Value items = json::Value::makeArray();
-    for (JobResult &result : results) {
-        account(result);
-        items.push(std::move(result.reply));
+    written = std::chrono::steady_clock::now();
+    openReply(out, request.id);
+    out += "\"ok\":true,\"results\":[";
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        account(results[i]);
+        out += i == 0 ? "{" : ",{";
+        out += results[i].members;
+        out += '}';
     }
+    out += "]}";
     settle();
-    reply.set("ok", true);
-    reply.set("results", std::move(items));
-    return finish(reply.dump());
+    finish(written);
 }
 
 JobResult
@@ -518,10 +546,10 @@ Server::errorResult(const std::string &message)
 {
     errors_.fetch_add(1, std::memory_order_relaxed);
     errorCounter().add();
-    json::Value failed = json::Value::makeObject();
-    failed.set("ok", false);
-    failed.set("error", message);
-    return {std::move(failed), {}};
+    JobResult result;
+    result.members = "\"ok\":false,\"error\":";
+    json::appendString(result.members, message);
+    return result;
 }
 
 JobResult
@@ -534,7 +562,7 @@ Server::serveQuery(const ParsedQuery &item, std::uint64_t requestId)
     const QuerySpec &spec = item.spec;
     JobTelemetry telemetry;
     obs::TraceSpan job_span("server.job", requestId);
-    json::Value result = json::Value::makeObject();
+    JobResult result;
     try {
         CacheLookup lookup;
         {
@@ -563,36 +591,42 @@ Server::serveQuery(const ParsedQuery &item, std::uint64_t requestId)
         double evalMs = elapsedMs(t0);
         evalTimer().record(evalMs);
         telemetry.evalMs = evalMs;
-        result.set("ok", true);
-        result.set("availability", availability);
-        result.set("plane", spec.planeName());
-        result.set("model_key", spec.modelKey());
-        result.set("cache", telemetry.cache);
+
+        auto s0 = std::chrono::steady_clock::now();
+        std::string &m = result.members;
+        m += "\"ok\":true,\"availability\":";
+        json::appendNumber(m, availability);
+        m += ",\"plane\":";
+        json::appendString(m, spec.planeName());
+        m += ",\"model_key\":";
+        json::appendString(m, spec.modelKey());
+        m += ",\"cache\":";
+        json::appendString(m, telemetry.cache);
+        result.ok = true;
+        telemetry.serializeMs = elapsedMs(s0);
     } catch (const bdd::BudgetExceeded &e) {
         // A budget abort is a per-request answer, not a session
         // failure: report what the compile had consumed and move on.
         // Coalesced waiters throw their own copy and land here too.
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        errorCounter().add();
         compileAbortCounter().add();
         obs::Tracer::global().instant("server.budget_exceeded",
                                       requestId);
         telemetry.budgetExceeded = true;
-        result.set("ok", false);
-        result.set("error", e.what());
-        result.set("budget_exceeded", true);
-        result.set("budget", e.budgetName());
-        result.set("nodes_allocated",
-                   static_cast<double>(e.nodesAllocated()));
-        result.set("gc_runs", static_cast<double>(e.gcRuns()));
-        result.set("elapsed_ms", e.elapsedMs());
+        result = errorResult(e.what());
+        std::string &m = result.members;
+        m += ",\"budget_exceeded\":true,\"budget\":";
+        json::appendString(m, e.budgetName());
+        m += ",\"nodes_allocated\":";
+        json::appendNumber(m, static_cast<double>(e.nodesAllocated()));
+        m += ",\"gc_runs\":";
+        json::appendNumber(m, static_cast<double>(e.gcRuns()));
+        m += ",\"elapsed_ms\":";
+        json::appendNumber(m, e.elapsedMs());
     } catch (const std::exception &e) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        errorCounter().add();
-        result.set("ok", false);
-        result.set("error", e.what());
+        result = errorResult(e.what());
     }
-    return {std::move(result), telemetry};
+    result.telemetry = telemetry;
+    return result;
 }
 
 json::Value

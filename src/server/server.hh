@@ -129,6 +129,9 @@ struct JobTelemetry
     /** Model evaluation wall time. */
     double evalMs = 0.0;
 
+    /** Wall time writing this query's answer members. */
+    double serializeMs = 0.0;
+
     /** "hit", "miss", or "coalesced" (empty if the query failed). */
     const char *cache = "";
 
@@ -140,10 +143,19 @@ struct JobTelemetry
     bool budgetExceeded = false;
 };
 
-/** One query's answer: the reply fragment plus its telemetry. */
+/** One query's answer: its reply members plus its telemetry. */
 struct JobResult
 {
-    json::Value reply;
+    /**
+     * The answer's members as JSON text without the braces, e.g.
+     * `"ok":true,"availability":0.99,...`; the caller wraps them in
+     * the single-query or the batch-item object.
+     */
+    std::string members;
+
+    /** The value of the "ok" member. */
+    bool ok = false;
+
     JobTelemetry telemetry;
 };
 
@@ -218,16 +230,19 @@ class Server
     void acceptLoop();
     void sessionLoop(Session &session);
 
-    /** Handle one request line; returns the reply line. */
-    std::string handleLine(const std::string &line,
-                           const std::string &peer);
+    /**
+     * Handle one request line: append its reply line (without the
+     * newline) to out, which the caller passes in empty.
+     */
+    void handleLine(const std::string &line, const std::string &peer,
+                    std::string &out);
 
-    /** Count an error and build its {"ok":false} reply fragment. */
+    /** Count an error and write its "ok":false members. */
     JobResult errorResult(const std::string &message);
 
     /**
-     * Answer one query item on the calling thread and build its
-     * reply fragment; every query reply is built here. A parse error
+     * Answer one query item on the calling thread and write its
+     * reply members; every query answer is written here. A parse error
      * gets its error reply; any other item is counted, its model
      * acquired (and maybe compiled), and evaluated. Never throws, so
      * a batch item cannot abort its parallelFor.

@@ -3,7 +3,11 @@
  * Tests for the JSON parser and serializer.
  */
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -91,6 +95,62 @@ TEST(JsonParse, MalformedDocumentsRejected)
     EXPECT_THROW(parse("-"), ModelError);
     EXPECT_THROW(parse("1."), ModelError);
     EXPECT_THROW(parse("1e"), ModelError);
+}
+
+TEST(JsonParse, OutOfRangeNumbersFailWithTheirOffset)
+{
+    // A literal whose magnitude overflows, or underflows to zero, is
+    // reported at its first byte.
+    const std::pair<const char *, const char *> cases[] = {
+        {"1e999", "offset 0"},
+        {"-1e999", "offset 0"},
+        {"1e-400", "offset 0"},
+        {R"({"a": [1, 1e999]})", "offset 10"},
+    };
+    for (const auto &[text, offset] : cases) {
+        try {
+            parse(text);
+            FAIL() << "expected ModelError for " << text;
+        } catch (const ModelError &e) {
+            EXPECT_EQ(std::string(e.what()),
+                      std::string("JSON parse error at ") + offset +
+                          ": number out of range")
+                << text;
+        }
+    }
+}
+
+TEST(JsonParse, SubnormalsReadAsTheirNearestDouble)
+{
+    EXPECT_EQ(parse("4e-320").asNumber(), 4e-320);
+    EXPECT_EQ(parse("-4e-320").asNumber(), -4e-320);
+    EXPECT_EQ(parse("5e-324").asNumber(),
+              std::numeric_limits<double>::denorm_min());
+    EXPECT_EQ(parse("1.5e-315").asNumber(), 1.5e-315);
+    // Zero in any spelling is in range.
+    EXPECT_EQ(parse("0e-400").asNumber(), 0.0);
+}
+
+TEST(JsonDump, SubnormalIdsEchoAndReadBack)
+{
+    // An id of 5e-324 echoes as the shortest text that reads back as
+    // the same double.
+    Value id = parse(R"({"id":5e-324})").at("id");
+    EXPECT_EQ(id.dump(), "4.94065645841247e-324");
+    EXPECT_EQ(parse(id.dump()).asNumber(), id.asNumber());
+    EXPECT_EQ(Value(1.51836335800763e-315).dump(), "1.51836335800763e-315");
+}
+
+TEST(JsonDump, LargeIntegersTakeTheFloatingPath)
+{
+    // Only magnitudes below 1e15 print as integers; the bound is
+    // tested before the cast, which is undefined past long long.
+    EXPECT_EQ(Value(999999999999999.0).dump(), "999999999999999");
+    EXPECT_EQ(Value(1e15).dump(), "1e+15");
+    EXPECT_EQ(Value(-1e300).dump(), "-1e+300");
+    EXPECT_EQ(Value(1e19).dump(), "1e+19");
+    EXPECT_EQ(Value(-0.0).dump(), "0");
+    EXPECT_THROW(Value(std::nan("")).dump(), ModelError);
 }
 
 TEST(JsonParse, DuplicateKeysRejected)

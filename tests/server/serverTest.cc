@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <thread>
 #include <vector>
 
@@ -201,6 +202,122 @@ TEST(Server, RepliesEqualADirectModelUnderTheChosenOrder)
             EXPECT_NEAR(availability, golden, 1e-14 * golden);
         }
     }
+    srv.requestStop();
+    srv.wait();
+}
+
+/** Blank the wall times a budget abort reports, which vary by run. */
+std::string
+maskElapsed(std::string line)
+{
+    const char *number = "0123456789.e+-";
+    const std::string text = " ms elapsed";
+    for (std::size_t at = line.find(text); at != std::string::npos;
+         at = line.find(text, at)) {
+        std::size_t from = line.find_last_not_of(number, at - 1) + 1;
+        line.replace(from, at - from, "T");
+        at = from + 1 + text.size();
+    }
+    const std::string member = "\"elapsed_ms\":";
+    for (std::size_t at = line.find(member); at != std::string::npos;
+         at = line.find(member, at)) {
+        at += member.size();
+        line.replace(at, line.find_first_not_of(number, at) - at, "T");
+    }
+    return line;
+}
+
+TEST(Server, ReplyLinesKeepTheirBytes)
+{
+    // Request and reply lines as a tree-building server wrote them;
+    // the direct writer must reproduce every byte. The lines run in
+    // order on one connection, so miss/hit is part of the pin.
+    const std::pair<const char *, const char *> pinned[] = {
+        // A miss, then a hit, both with numeric ids.
+        {R"j({"id":1,"catalog":"opencontrail","topology":"small","nodes":1,"params":{"a":0.995}})j",
+         R"j({"id":1,"ok":true,"availability":0.9445013654242188,"plane":"cp","model_key":"catalog=opencontrail;topology=small;nodes=1;policy=required;plane=cp","cache":"miss"})j"},
+        {R"j({"id":2,"catalog":"opencontrail","topology":"small","nodes":1,"params":{"a":0.995}})j",
+         R"j({"id":2,"ok":true,"availability":0.9445013654242188,"plane":"cp","model_key":"catalog=opencontrail;topology=small;nodes=1;policy=required;plane=cp","cache":"hit"})j"},
+        // A string id with characters that need escaping.
+        {R"j({"id":"a\"b\\c\n\u0001é","catalog":"opencontrail","topology":"small","nodes":1,"params":{"a":0.9993,"av":0.9991}})j",
+         R"j({"id":"a\"b\\c\n\u0001é","ok":true,"availability":0.989541784858595,"plane":"cp","model_key":"catalog=opencontrail;topology=small;nodes=1;policy=required;plane=cp","cache":"hit"})j"},
+        // No id at all.
+        {R"j({"catalog":"opencontrail","topology":"small","nodes":1,"params":{"ah":0.99999}})j",
+         R"j({"ok":true,"availability":0.9979119993384507,"plane":"cp","model_key":"catalog=opencontrail;topology=small;nodes=1;policy=required;plane=cp","cache":"hit"})j"},
+        {R"j({"id":2.5e-7,"catalog":"raft","topology":"small","nodes":3})j",
+         R"j({"id":2.5e-07,"ok":true,"availability":0.9999895461928472,"plane":"cp","model_key":"catalog=raft;topology=small;nodes=3;policy=required;plane=cp","cache":"miss"})j"},
+        // An invalid line and failed queries.
+        {R"j({bad)j",
+         R"j({"ok":false,"error":"JSON parse error at offset 1: expected object key string"})j"},
+        {R"j({"id":3,"catalog":"nope"})j",
+         R"j({"id":3,"ok":false,"error":"unknown catalog 'nope' (expected opencontrail | raft | fragile)"})j"},
+        {R"j({"id":4,"catalog":"opencontrail","nodes":0})j",
+         R"j({"id":4,"ok":false,"error":"member 'nodes' must be an integer in [1, 63]"})j"},
+        // A batch mixing ok and error items, under a structured id.
+        {R"j({"id":[1,{"k":null}],"queries":[{"catalog":"opencontrail","topology":"small","nodes":1},{"catalog":"nope"},{"catalog":"raft","topology":"medium","nodes":5,"params":{"a":0.999}},{"nodes":2.5}]})j",
+         R"j({"id":[1,{"k":null}],"ok":true,"results":[{"ok":true,"availability":0.9978221863603803,"plane":"cp","model_key":"catalog=opencontrail;topology=small;nodes=1;policy=required;plane=cp","cache":"hit"},{"ok":false,"error":"unknown catalog 'nope' (expected opencontrail | raft | fragile)"},{"ok":true,"availability":0.9999898810924712,"plane":"cp","model_key":"catalog=raft;topology=medium;nodes=5;policy=required;plane=cp","cache":"miss"},{"ok":false,"error":"member 'nodes' must be an integer in [1, 63]"}]})j"},
+        {R"j({"id":9,"queries":[{"catalog":"opencontrail","topology":"small","nodes":1,"params":{"a":0.9}}]})j",
+         R"j({"id":9,"ok":true,"results":[{"ok":true,"availability":0.31319607133937266,"plane":"cp","model_key":"catalog=opencontrail;topology=small;nodes=1;policy=required;plane=cp","cache":"hit"}]})j"},
+        {R"j({"id":10,"cmd":"ping"})j",
+         R"j({"id":10,"ok":true,"pong":true})j"},
+        {R"j({"cmd":"shutdownx"})j",
+         R"j({"ok":false,"error":"unknown command 'shutdownx' (expected ping | stats | metrics | shutdown)"})j"},
+        // Budget aborts, alone and as a batch item.
+        {R"j({"id":7,"catalog":"opencontrail","topology":"large","nodes":12})j",
+         R"j({"id":7,"ok":false,"error":"BDD build budget exceeded (node-cap): 20000 nodes allocated, 0 GC runs, T ms elapsed","budget_exceeded":true,"budget":"node-cap","nodes_allocated":20000,"gc_runs":0,"elapsed_ms":T})j"},
+        {R"j({"id":11,"queries":[{"catalog":"opencontrail","topology":"large","nodes":12},{"catalog":"opencontrail","topology":"small","nodes":1}]})j",
+         R"j({"id":11,"ok":true,"results":[{"ok":false,"error":"BDD build budget exceeded (node-cap): 20000 nodes allocated, 0 GC runs, T ms elapsed","budget_exceeded":true,"budget":"node-cap","nodes_allocated":20000,"gc_runs":0,"elapsed_ms":T},{"ok":true,"availability":0.9978221863603803,"plane":"cp","model_key":"catalog=opencontrail;topology=small;nodes=1;policy=required;plane=cp","cache":"hit"}]})j"},
+    };
+    ServerOptions options = testOptions();
+    options.compileNodeCap = 20000;
+    Server srv(options);
+    srv.start();
+    LineClient client;
+    client.connect(srv.port());
+    for (const auto &[request, reply] : pinned) {
+        client.sendLine(request);
+        EXPECT_EQ(maskElapsed(client.recvLine()), reply) << request;
+    }
+    srv.requestStop();
+    srv.wait();
+}
+
+TEST(Server, SubnormalAvailabilityIsAnsweredAndTheSessionKeepsServing)
+{
+    // a = 8e-30 drives OpenContrail Large x3 to about 1.5e-315, a
+    // subnormal: its reply must carry it exactly, and the connection
+    // must answer its next line.
+    Server srv(testOptions());
+    srv.start();
+    LineClient client;
+    client.connect(srv.port());
+    json::Value reply = roundTrip(
+        client, R"({"id":8,"catalog":"opencontrail","topology":"large",)"
+                R"("nodes":3,"params":{"a":8e-30}})");
+    ASSERT_TRUE(reply.at("ok").asBool()) << reply.dump();
+
+    auto catalog = fmea::openContrail3();
+    auto topo = topology::largeTopology(catalog.roles().size(), 3);
+    model::ExactPlaneModel::Options options;
+    options.order = model::chooseVariableOrder(
+        catalog, topo, model::SupervisorPolicy::Required,
+        fmea::Plane::ControlPlane);
+    model::ExactPlaneModel direct(catalog, topo,
+                                  model::SupervisorPolicy::Required,
+                                  fmea::Plane::ControlPlane, options);
+    model::SwParams params;
+    params.processAvailability = 8e-30;
+    const double expected = direct.availability(params);
+    EXPECT_EQ(std::fpclassify(expected), FP_SUBNORMAL);
+    EXPECT_EQ(reply.at("availability").asNumber(), expected);
+
+    EXPECT_TRUE(
+        roundTrip(client, R"({"id":9,"cmd":"ping"})").at("ok").asBool());
+    // An id of the least subnormal echoes as the shortest text that
+    // reads back as it.
+    client.sendLine(R"({"id":5e-324,"cmd":"ping"})");
+    EXPECT_EQ(client.recvLine(),
+              R"({"id":4.94065645841247e-324,"ok":true,"pong":true})");
     srv.requestStop();
     srv.wait();
 }
@@ -845,10 +962,24 @@ TEST(Server, RequestLogWritesOneRecordPerRequest)
 
     // The two queries: miss then hit, with the model key recorded.
     for (const char *key :
-         {"id", "peer", "kind", "key", "cache", "queue_wait_ms",
-          "compile_ms", "compile_minor_faults", "variable_order",
-          "eval_ms", "reply_bytes", "latency_ms", "outcome"})
+         {"id", "peer", "kind", "key", "cache", "parse_ms",
+          "queue_wait_ms", "compile_ms", "compile_minor_faults",
+          "variable_order", "eval_ms", "serialize_ms", "reply_bytes",
+          "latency_ms", "outcome"})
         EXPECT_TRUE(records[0].contains(key)) << "missing " << key;
+
+    // Every record times its parse and its reply writing, and its
+    // stages fit inside its latency.
+    for (const json::Value &record : records) {
+        EXPECT_GT(record.at("parse_ms").asNumber(), 0.0);
+        EXPECT_GT(record.at("serialize_ms").asNumber(), 0.0);
+        double stages = 0.0;
+        for (const char *stage : {"parse_ms", "queue_wait_ms", "compile_ms",
+                                  "eval_ms", "serialize_ms"})
+            stages += record.at(stage).asNumber();
+        EXPECT_LE(stages, record.at("latency_ms").asNumber())
+            << record.dump();
+    }
     EXPECT_EQ(records[0].at("kind").asString(), "query");
     EXPECT_EQ(records[0].at("cache").asString(), "miss");
     EXPECT_EQ(records[0].at("outcome").asString(), "ok");
