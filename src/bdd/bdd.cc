@@ -1,7 +1,9 @@
 #include "bdd/bdd.hh"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "common/error.hh"
@@ -334,6 +336,12 @@ BddManager::clearIteCache()
     std::fill(ite_cache_.begin(), ite_cache_.end(), IteEntry{});
 }
 
+void
+BddManager::releaseIteCache()
+{
+    ite_cache_ = std::vector<IteEntry>(kInitialIteCache);
+}
+
 NodeRef
 BddManager::ite(NodeRef f, NodeRef g, NodeRef h)
 {
@@ -483,12 +491,111 @@ BddManager::atLeast(std::span<const NodeRef> fs, unsigned m)
     return reach[m];
 }
 
+namespace
+{
+
+/**
+ * freeze()'s fold table: open addressing over (class, low slot, high
+ * slot), sized once to the reachable node count, so it never grows
+ * and stays under two thirds full. An entry holds a numbered node's
+ * slot and a 32-bit tag of its key, 8 bytes instead of 16, so more of
+ * the table stays in cache; the key itself is read back from the
+ * numbered nodes when the tags agree.
+ */
+class FoldTable
+{
+  public:
+    /**
+     * @param low, high The numbered nodes' children: storage reserved
+     *        for `nodes` entries, so appending never moves it.
+     */
+    FoldTable(std::size_t nodes, const std::uint32_t *low,
+              const std::uint32_t *high)
+        : entries_(std::bit_ceil(nodes + nodes / 2 + 2)),
+          shift_(64 - std::countr_zero(entries_.size())), low_(low),
+          high_(high)
+    {
+        classes_.reserve(nodes);
+    }
+
+    static std::uint64_t
+    hash(std::uint32_t cls, std::uint32_t low, std::uint32_t high)
+    {
+        std::uint64_t key = (std::uint64_t{low} << 32 | high) ^
+                            std::uint64_t{cls} * 0xc2b2ae3d27d4eb4fULL;
+        key *= 0x9e3779b97f4a7c15ULL;
+        return key ^ (key >> 29);
+    }
+
+    /** Start loading the entry a probe for `hash` reads first. */
+    void
+    prefetch(std::uint64_t hash) const
+    {
+        __builtin_prefetch(&entries_[home(hash)]);
+    }
+
+    /**
+     * The slot of the numbered node (cls, low, high) if there is one;
+     * otherwise `fresh`, which the caller numbers next.
+     */
+    std::uint32_t
+    findOrAdd(std::uint64_t hash, std::uint32_t cls, std::uint32_t low,
+              std::uint32_t high, std::uint32_t fresh)
+    {
+        const auto tag = static_cast<std::uint32_t>(hash);
+        const std::size_t mask = entries_.size() - 1;
+        for (std::size_t i = home(hash);; i = (i + 1) & mask) {
+            Entry &entry = entries_[i];
+            if (entry.slot == 0) {
+                entry = {fresh, tag};
+                classes_.push_back(cls);
+                return fresh;
+            }
+            const std::uint32_t k = entry.slot - 2;
+            if (entry.tag == tag && low_[k] == low && high_[k] == high &&
+                classes_[k] == cls)
+                return entry.slot;
+        }
+    }
+
+  private:
+    /** slot 0, the false terminal's, marks an empty entry. */
+    struct Entry
+    {
+        std::uint32_t slot, tag;
+    };
+
+    std::size_t
+    home(std::uint64_t hash) const
+    {
+        return static_cast<std::size_t>(hash >> shift_);
+    }
+
+    // PageVector: a large table is mapped fresh (and huge-page
+    // eligible) instead of being carved from the heap page by page.
+    PageVector<Entry> entries_;
+    int shift_;
+    const std::uint32_t *low_;
+    const std::uint32_t *high_;
+
+    /** Class of each numbered node. */
+    std::vector<std::uint32_t> classes_;
+};
+
+} // anonymous namespace
+
 FrozenDiagram
-BddManager::freeze(NodeRef f) const
+BddManager::freeze(NodeRef f, std::span<const unsigned> classOfVariable) const
 {
     obs::TraceSpan trace_span("bdd.freeze");
+    require(classOfVariable.empty() ||
+                classOfVariable.size() >= variable_count_,
+            "freeze(): the class map does not cover every variable");
     constexpr std::uint32_t unvisited =
         std::numeric_limits<std::uint32_t>::max();
+    // The loops below prefetch this far ahead of the random reads
+    // they are about to make.
+    constexpr std::size_t ahead = 16;
     std::vector<std::uint32_t> slot(nodes_.size(), unvisited);
     slot[falseNode] = 0;
     slot[trueNode] = 1;
@@ -497,6 +604,7 @@ BddManager::freeze(NodeRef f) const
     // below, an expanded node's map entry holds its level, and
     // level_start[] counts the nodes per level.
     std::vector<NodeRef> refs;
+    refs.reserve(liveNodes());
     std::vector<std::uint32_t> level_start(variable_count_, 0);
     auto find = [&](NodeRef ref) {
         if (slot[ref] == unvisited) {
@@ -506,6 +614,8 @@ BddManager::freeze(NodeRef f) const
     };
     find(f);
     for (std::size_t i = 0; i < refs.size(); ++i) {
+        if (i + ahead < refs.size())
+            __builtin_prefetch(&nodes_[refs[i + ahead]]);
         const Node &node = nodes_[refs[i]];
         unsigned level = level_of_var_[node.var];
         slot[refs[i]] = level;
@@ -514,44 +624,90 @@ BddManager::freeze(NodeRef f) const
         find(node.high);
     }
 
-    // Number them bottom level first: in an ordered diagram a child
-    // always sits on a lower level than its parents, so it gets the
-    // smaller slot. Level-major order also keeps each node's children
-    // close together in memory, which the evaluation loop reads.
+    // Order them bottom level first: in an ordered diagram a child
+    // always sits on a lower level than its parents, so it comes
+    // first. Level-major order also keeps each node's children close
+    // together in memory, which the evaluation loop reads.
     std::uint32_t next = 0;
     for (std::size_t level = variable_count_; level-- > 0;) {
         std::uint32_t count = level_start[level];
         level_start[level] = next;
         next += count;
     }
-    std::vector<NodeRef> order(refs.size());
-    for (NodeRef ref : refs) {
-        std::uint32_t k = level_start[slot[ref]]++;
-        order[k] = ref;
-        slot[ref] = k + 2;
+    const std::size_t n = refs.size();
+    std::vector<NodeRef> order(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (i + ahead < n)
+            __builtin_prefetch(&slot[refs[i + ahead]]);
+        order[level_start[slot[refs[i]]]++] = refs[i];
     }
 
+    // Number them in that order, level by level, each child before
+    // its parents. A node equal to an earlier one in class and
+    // numbered children takes that one's slot. Distinct nodes of one
+    // variable differ in their children, so without a class map
+    // nothing folds and the table is skipped. A level's children are
+    // all numbered before it, so its keys are read in one pass and
+    // folded in a second that prefetches the table ahead.
     FrozenDiagram out;
-    std::size_t n = order.size();
-    out.low_.resize(n);
-    out.high_.resize(n);
-    for (std::size_t k = 0; k < n; ++k) {
-        const Node &node = nodes_[order[k]];
-        out.low_[k] = slot[node.low];
-        out.high_[k] = slot[node.high];
-    }
-    // level_start[level] now holds one past the level's last slot;
-    // an empty level ends where the one below it did.
+    out.bddNodes_ = n;
+    out.low_.reserve(n);
+    out.high_.reserve(n);
+    std::optional<FoldTable> table;
+    if (!classOfVariable.empty())
+        table.emplace(n, out.low_.data(), out.high_.data());
+    std::vector<std::uint32_t> key_low, key_high;
+    std::vector<std::uint64_t> key_hash;
+    std::size_t first = 0;
     for (std::size_t level = variable_count_; level-- > 0;) {
-        if (level_start[level] == out.levelStart_.back())
+        const unsigned v = var_at_level_[level];
+        const std::uint32_t cls =
+            classOfVariable.empty() ? v : classOfVariable[v];
+        const std::size_t width = level_start[level] - first;
+        key_low.resize(width);
+        key_high.resize(width);
+        key_hash.resize(width);
+        for (std::size_t i = 0; i < width; ++i) {
+            const Node &node = nodes_[order[first + i]];
+            key_low[i] = slot[node.low];
+            key_high[i] = slot[node.high];
+            if (table)
+                key_hash[i] = FoldTable::hash(cls, key_low[i], key_high[i]);
+        }
+        for (std::size_t i = 0; i < width; ++i) {
+            const auto fresh =
+                static_cast<std::uint32_t>(out.low_.size() + 2);
+            std::uint32_t s = fresh;
+            if (table) {
+                if (i + ahead < width)
+                    table->prefetch(key_hash[i + ahead]);
+                s = table->findOrAdd(key_hash[i], cls, key_low[i],
+                                     key_high[i], fresh);
+            }
+            slot[order[first + i]] = s;
+            if (s == fresh) {
+                out.low_.push_back(key_low[i]);
+                out.high_.push_back(key_high[i]);
+            }
+        }
+        first += width;
+
+        // A level whose nodes all folded adds no run; one of the
+        // class that ends the run below extends that run.
+        const auto end = static_cast<std::uint32_t>(out.low_.size());
+        if (end == out.runStart_.back())
             continue;
-        unsigned v = var_at_level_[level];
-        out.levelVar_.push_back(v);
-        out.levelStart_.push_back(level_start[level]);
-        out.variableBound_ =
-            std::max<std::size_t>(out.variableBound_, v + 1u);
+        if (!out.runClass_.empty() && out.runClass_.back() == cls) {
+            out.runStart_.back() = end;
+            continue;
+        }
+        out.runClass_.push_back(cls);
+        out.runStart_.push_back(end);
+        out.classBound_ = std::max<std::size_t>(out.classBound_, cls + 1u);
     }
     out.root_ = slot[f];
+    trace_span.arg("bdd_nodes", n);
+    trace_span.arg("eval_nodes", out.low_.size());
     return out;
 }
 
@@ -559,8 +715,8 @@ void
 FrozenDiagram::forward(std::span<const double> probs, double *value,
                        double falseValue, double trueValue) const
 {
-    require(variableBound_ <= probs.size(),
-            "probability(): probs does not cover all BDD variables");
+    require(classBound_ <= probs.size(),
+            "probability(): probs does not cover all BDD inputs");
 
     // Shannon decomposition, children before parents. This is the
     // only place a probability is computed from a diagram. Keep the
@@ -570,10 +726,10 @@ FrozenDiagram::forward(std::span<const double> probs, double *value,
     value[trueNode] = trueValue;
     const std::uint32_t *low = low_.data();
     const std::uint32_t *high = high_.data();
-    for (std::size_t r = 0; r < levelVar_.size(); ++r) {
-        const double p = probs[levelVar_[r]];
+    for (std::size_t r = 0; r < runClass_.size(); ++r) {
+        const double p = probs[runClass_[r]];
         const double q = 1.0 - p;
-        for (std::size_t k = levelStart_[r], end = levelStart_[r + 1];
+        for (std::size_t k = runStart_[r], end = runStart_[r + 1];
              k < end; ++k)
             value[k + 2] = p * value[high[k]] + q * value[low[k]];
     }
@@ -610,20 +766,21 @@ FrozenDiagram::gradient(std::span<const double> probs,
     grad.assign(probs.size(), 0.0);
 
     // Parents before children: every parent sits at a higher slot, so
-    // a node's adjoint is complete when the loop reaches it. Only one
-    // run tests a variable, so summing its terms in a local adds them
-    // in the same order as summing them into grad.
-    for (std::size_t r = levelVar_.size(); r-- > 0;) {
-        const double p = probs[levelVar_[r]];
+    // a node's adjoint is complete when the loop reaches it. A run's
+    // terms are summed in a local and then added to its class; a
+    // class that only one run tests (every variable, without a class
+    // map) gets the local's bits, as 0.0 + g == g.
+    for (std::size_t r = runClass_.size(); r-- > 0;) {
+        const double p = probs[runClass_[r]];
         const double q = 1.0 - p;
         double g = 0.0;
-        for (std::size_t k = levelStart_[r + 1]; k-- > levelStart_[r];) {
+        for (std::size_t k = runStart_[r + 1]; k-- > runStart_[r];) {
             double a = adjoint[k + 2];
             g += a * (u[low_[k]] - u[high_[k]]);
             adjoint[high_[k]] += a * p;
             adjoint[low_[k]] += a * q;
         }
-        grad[levelVar_[r]] = g;
+        grad[runClass_[r]] += g;
     }
 }
 

@@ -29,8 +29,9 @@
  *    cannot overflow the call stack;
  *  - freeze(): export one root's reachable nodes as an immutable
  *    FrozenDiagram, the single place probabilities and their
- *    per-variable derivatives (Birnbaum importance) are evaluated;
- *    the manager can then be dropped.
+ *    per-variable derivatives (Birnbaum importance) are evaluated,
+ *    optionally folded over classes of variables that share one
+ *    probability; the manager can then be dropped.
  *
  * Callers control the initial variable order, either by how they
  * number their variables or by handing the constructor a level
@@ -189,11 +190,25 @@ class ProbabilityScratch;
  * forward pass over the arrays: no visited flags, no stack, no
  * per-arena initialisation.
  *
- * Each level holds exactly one variable, so the nodes of a level
- * form one run of consecutive slots that all test the same variable.
- * The diagram stores one (first node, variable) pair per non-empty
- * level instead of a variable per node: the pass loads p and 1 - p
- * once per run, and streams 8 bytes of index per node.
+ * The diagram's inputs are classes of variables. freeze() takes a
+ * map from variable to class; by default every variable is its own
+ * class, and the inputs are the variables themselves. Each level
+ * holds exactly one variable, so the nodes of a level take
+ * consecutive slots that all test the same class, and so do those of
+ * adjacent levels of one class: a run. The diagram stores one (first
+ * node, class) pair per run instead of a class per node: the pass
+ * loads p and 1 - p once per run, and streams 8 bytes of index per
+ * node.
+ *
+ * With a coarser map the diagram is folded: a node whose class and
+ * (folded) children equal an earlier node's evaluates to the same
+ * bits, p * v[high] + (1 - p) * v[low] over equal operands, so it
+ * shares that node's slot instead of taking its own. The folded
+ * diagram is no longer a BDD of the variables, but an arithmetic
+ * circuit of the class probabilities with the same value, bit for
+ * bit, as the unfolded one given each variable its class's
+ * probability. nodeCount() counts the slots the pass fills,
+ * bddNodeCount() the reachable BDD nodes they stand for.
  *
  * The diagram owns its arrays and shares nothing with the manager
  * that froze it, so the manager can be destroyed once frozen. It is
@@ -207,11 +222,12 @@ class FrozenDiagram
     FrozenDiagram() = default;
 
     /**
-     * Probability that the function is true when each variable i is
-     * independently true with probability probs[i].
+     * Probability that the function is true when each variable of
+     * class c is independently true with probability probs[c].
      *
-     * @param probs Per-variable probabilities; must cover every
-     *              variable appearing in the diagram.
+     * @param probs Per-class probabilities (per-variable without a
+     *              class map); must cover every class appearing in
+     *              the diagram.
      * @param scratch Per-thread value buffer, reused across calls.
      */
     double probability(std::span<const double> probs,
@@ -219,9 +235,13 @@ class FrozenDiagram
 
     /**
      * Partial derivative of probability() with respect to every
-     * variable's probability: grad[i] = dP/dp_i. P is multilinear in
-     * each p_i, so this is exactly the Birnbaum importance
-     * P(f | x_i = 1) - P(f | x_i = 0).
+     * input: grad[c] = dP/dp_c. Without a class map P is multilinear
+     * in each variable's p_i, so grad[i] is exactly the Birnbaum
+     * importance P(f | x_i = 1) - P(f | x_i = 0). On a folded diagram
+     * p_c drives every variable of class c, so by the chain rule
+     * grad[c] is the sum of the Birnbaum importances of the class's
+     * variables (up to rounding: the terms are added in another
+     * order).
      *
      * One forward pass computes each node's probability of being
      * false, u = P(!f); one reverse pass accumulates the probability
@@ -233,15 +253,19 @@ class FrozenDiagram
      *
      * @param probs As for probability().
      * @param scratch Per-thread value buffer, reused across calls.
-     * @param grad Resized to probs.size(); entries for variables
+     * @param grad Resized to probs.size(); entries for inputs
      *             absent from the diagram are exactly 0.
      */
     void gradient(std::span<const double> probs,
                   ProbabilityScratch &scratch,
                   std::vector<double> &grad) const;
 
-    /** Number of (non-terminal) nodes in the diagram. */
+    /** Nodes an evaluation computes: the non-terminal slots. */
     std::size_t nodeCount() const { return low_.size(); }
+
+    /** Non-terminal BDD nodes reachable from the frozen root; equals
+     *  nodeCount() unless the diagram was folded. */
+    std::size_t bddNodeCount() const { return bddNodes_; }
 
   private:
     friend class BddManager;
@@ -257,17 +281,20 @@ class FrozenDiagram
     std::vector<std::uint32_t> low_;
     std::vector<std::uint32_t> high_;
 
-    // Level runs, bottom level first: nodes levelStart_[r] up to
-    // levelStart_[r + 1] all test variable levelVar_[r]. levelStart_
-    // has one entry more than levelVar_, the node count.
-    std::vector<std::uint32_t> levelStart_{0};
-    std::vector<std::uint32_t> levelVar_;
+    // Runs, bottom level first: nodes runStart_[r] up to
+    // runStart_[r + 1] all test class runClass_[r]. runStart_ has one
+    // entry more than runClass_, the node count.
+    std::vector<std::uint32_t> runStart_{0};
+    std::vector<std::uint32_t> runClass_;
 
     /** Value slot of the root (0 or 1 for a constant). */
     std::uint32_t root_ = 0;
 
-    /** One past the largest variable index in the diagram. */
-    std::size_t variableBound_ = 0;
+    /** One past the largest class in the diagram. */
+    std::size_t classBound_ = 0;
+
+    /** Reachable BDD nodes before folding. */
+    std::size_t bddNodes_ = 0;
 };
 
 /**
@@ -292,10 +319,11 @@ class ProbabilityScratch
     }
 
     /**
-     * A buffer for the caller's own per-variable probabilities, held
-     * here so that a caller who rebuilds them for every evaluation
-     * (model::ExactPlaneModel) allocates nothing after its first
-     * call either. FrozenDiagram never touches it.
+     * A buffer for the caller's own input probabilities, held here so
+     * that a caller who rebuilds them for every evaluation
+     * (model::ExactPlaneModel, five class probabilities) allocates
+     * nothing after its first call either. FrozenDiagram never
+     * touches it.
      */
     std::vector<double> &inputs() { return inputs_; }
 
@@ -390,8 +418,19 @@ class BddManager
      * one evaluator of f's probability. Cost: a breadth-first pass
      * over the reachable nodes, a counting sort of them by level, and
      * a ref-to-slot map sized to the arena.
+     *
+     * @param classOfVariable The diagram's inputs: variable v is
+     *        evaluated with the probability of input
+     *        classOfVariable[v], and the nodes are folded over the
+     *        classes (see FrozenDiagram). The map must cover every
+     *        variable; a fold table sized to the reachable nodes
+     *        finds the equal nodes. Empty (the default) makes every
+     *        variable its own class: nothing folds, and the inputs
+     *        are the variables.
      */
-    FrozenDiagram freeze(NodeRef f) const;
+    FrozenDiagram
+    freeze(NodeRef f,
+           std::span<const unsigned> classOfVariable = {}) const;
 
     /** Evaluate the function on a concrete assignment. */
     bool evaluate(NodeRef f, const std::vector<bool> &assignment) const;
@@ -490,6 +529,15 @@ class BddManager
 
     /** True while a budget with at least one limit is armed. */
     bool budgetArmed() const { return budget_armed_; }
+
+    /**
+     * Release the ITE computed cache's memory: it grows with the
+     * arena, to as much as the arena itself. A caller that has
+     * finished building calls this before freeze(), so the freeze's
+     * tables do not add to the cache's footprint. Later applies
+     * start over from an empty cache of the initial size.
+     */
+    void releaseIteCache();
 
     /** Lifetime engine statistics (cache behaviour, table sizes). */
     BddStats stats() const;

@@ -586,6 +586,10 @@ class Parser
             ++pos_;
         if (!isDigit(peek()))
             fail("invalid number");
+        // RFC 8259: an integer part is 0 or starts with 1-9.
+        if (peek() == '0' && pos_ + 1 < text_.size() &&
+            isDigit(text_[pos_ + 1]))
+            fail("leading zero in number");
         while (isDigit(peek()))
             ++pos_;
         if (peek() == '.') {

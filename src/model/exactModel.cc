@@ -418,19 +418,22 @@ ExactPlaneModel::ExactPlaneModel(const fmea::ControllerCatalog &catalog,
                                  const topology::DeploymentTopology &topo,
                                  SupervisorPolicy policy, Plane plane,
                                  const Options &options)
-    // The table availabilities are placeholders (paper defaults);
-    // evaluation always rebuilds the probability vector from the
-    // classes and the caller's params.
-    : order_(options.order),
-      diagram_(rbd::compileFrozen(
-                   buildExactSystem(catalog, topo, policy, SwParams{},
-                                    plane, &classes_),
-                   {exactVariableLevels(catalog, topo, policy, plane,
-                                        options.order),
-                    options.reorderBdd, options.reorderOptions,
-                    options.budget})
-                   .diagram)
+    : order_(options.order)
 {
+    // The table availabilities are placeholders (paper defaults): the
+    // diagram's inputs are the component classes, whose
+    // availabilities every evaluation reads from the caller's params.
+    std::vector<ExactComponentClass> classes;
+    rbd::RbdSystem system = buildExactSystem(catalog, topo, policy,
+                                             SwParams{}, plane, &classes);
+    rbd::CompileOptions compile{
+        exactVariableLevels(catalog, topo, policy, plane, options.order),
+        {}, options.reorderBdd, options.reorderOptions, options.budget};
+    compile.classes.reserve(classes.size());
+    for (ExactComponentClass cls : classes)
+        compile.classes.push_back(static_cast<unsigned>(cls));
+    components_ = classes.size();
+    diagram_ = rbd::compileFrozen(system, compile).diagram;
 }
 
 double
@@ -446,9 +449,10 @@ ExactPlaneModel::availability(const SwParams &params,
 {
     params.validate();
     std::vector<double> &probs = scratch.inputs();
-    probs.resize(classes_.size());
-    for (std::size_t i = 0; i < classes_.size(); ++i)
-        probs[i] = exactClassAvailability(classes_[i], params);
+    probs.resize(kExactClassCount);
+    for (std::size_t c = 0; c < kExactClassCount; ++c)
+        probs[c] = exactClassAvailability(
+            static_cast<ExactComponentClass>(c), params);
     return diagram_.probability(probs, scratch);
 }
 

@@ -48,6 +48,10 @@ enum class ExactComponentClass
     ManualProcess,
 };
 
+/** Number of ExactComponentClass values; a class's value indexes
+ *  the inputs of an ExactPlaneModel's diagram. */
+constexpr std::size_t kExactClassCount = 5;
+
 /** The SwParams value an exact-model component class evaluates to. */
 double exactClassAvailability(ExactComponentClass cls,
                               const SwParams &params);
@@ -166,7 +170,15 @@ double exactPlaneAvailability(const fmea::ControllerCatalog &catalog,
  * compiles the structure function, freezes the root into a
  * bdd::FrozenDiagram and drops the compile's manager (arena, unique
  * tables, ITE cache). Each sweep point or query is then one forward
- * pass over the reachable nodes only.
+ * pass over the frozen nodes only.
+ *
+ * Every component of one class takes the same SwParams value, so the
+ * diagram is frozen over the five classes (bdd::BddManager::freeze):
+ * its inputs are the class availabilities, and sub-diagrams that
+ * compute the same expression over them are evaluated once. The
+ * values are bit-identical to evaluating the unfolded diagram with
+ * one probability per component; raft on the Large topology at 21
+ * nodes, node-major, evaluates 111,095 of its 163,137 nodes.
  *
  * availability() is const and evaluation-only: one model can be
  * shared read-only across sweep worker threads, each thread passing
@@ -226,22 +238,24 @@ class ExactPlaneModel
     ExactVariableOrder variableOrder() const { return order_; }
 
     /** Components (BDD variables) of the structure function. */
-    std::size_t componentCount() const { return classes_.size(); }
+    std::size_t componentCount() const { return components_; }
 
-    /** Compiled diagram size (reachable nodes). */
-    std::size_t bddNodeCount() const { return diagram_.nodeCount(); }
+    /** Compiled diagram size: the BDD's reachable nodes. */
+    std::size_t bddNodeCount() const { return diagram_.bddNodeCount(); }
+
+    /** Nodes an evaluation computes: the reachable nodes folded over
+     *  the component classes. */
+    std::size_t evalNodeCount() const { return diagram_.nodeCount(); }
 
     /**
-     * BDD nodes the model keeps resident: the frozen diagram only,
-     * so this equals bddNodeCount(). Evaluation never changes it.
+     * BDD nodes the model was frozen from; equals bddNodeCount().
+     * Evaluation never changes it.
      */
-    std::size_t totalBddNodes() const { return diagram_.nodeCount(); }
+    std::size_t totalBddNodes() const { return diagram_.bddNodeCount(); }
 
   private:
-    // Declaration order is load-bearing: diagram_'s initializer fills
-    // classes_.
     ExactVariableOrder order_;
-    std::vector<ExactComponentClass> classes_;
+    std::size_t components_ = 0;
     bdd::FrozenDiagram diagram_;
 };
 

@@ -1,6 +1,7 @@
 #include "obs/trace.hh"
 
 #include <algorithm>
+#include <array>
 #include <fstream>
 #include <stdexcept>
 #include <unordered_map>
@@ -24,9 +25,9 @@ struct Event
 {
     const char *name;
     std::uint64_t tsNs;
-    std::uint64_t arg;
+    /** Unused entries have a null key. */
+    std::array<TraceArg, 2> args;
     Phase phase;
-    bool hasArg;
 };
 
 } // anonymous namespace
@@ -120,7 +121,7 @@ Tracer::begin(const char *name)
     Buffer &b = buffer();
     std::lock_guard<std::mutex> lock(b.mutex);
     if (b.events.size() < capacity_ && b.dropDepth == 0) {
-        b.events.push_back({name, ts, 0, Phase::Begin, false});
+        b.events.push_back({name, ts, {}, Phase::Begin});
     } else {
         // Full (or already inside a dropped span): drop this span
         // whole — its end will be swallowed by dropDepth.
@@ -138,7 +139,7 @@ Tracer::begin(const char *name, std::uint64_t arg)
     Buffer &b = buffer();
     std::lock_guard<std::mutex> lock(b.mutex);
     if (b.events.size() < capacity_ && b.dropDepth == 0) {
-        b.events.push_back({name, ts, arg, Phase::Begin, true});
+        b.events.push_back({name, ts, {{{"arg", arg}}}, Phase::Begin});
     } else {
         ++b.dropped;
         ++b.dropDepth;
@@ -147,6 +148,12 @@ Tracer::begin(const char *name, std::uint64_t arg)
 
 void
 Tracer::end(const char *name)
+{
+    end(name, {});
+}
+
+void
+Tracer::end(const char *name, std::span<const TraceArg> args)
 {
     if (!enabled())
         return;
@@ -162,7 +169,13 @@ Tracer::end(const char *name)
     // A recorded begin always gets its end, even past the soft
     // capacity: the overshoot is bounded by the open-span depth at
     // the moment the buffer filled.
-    b.events.push_back({name, ts, 0, Phase::End, false});
+    Event event{name, ts, {}, Phase::End};
+    std::size_t kept = 0;
+    for (const TraceArg &arg : args) {
+        if (arg.key != nullptr && kept < event.args.size())
+            event.args[kept++] = arg;
+    }
+    b.events.push_back(event);
 }
 
 void
@@ -174,7 +187,7 @@ Tracer::instant(const char *name)
     Buffer &b = buffer();
     std::lock_guard<std::mutex> lock(b.mutex);
     if (b.events.size() < capacity_)
-        b.events.push_back({name, ts, 0, Phase::Instant, false});
+        b.events.push_back({name, ts, {}, Phase::Instant});
     else
         ++b.dropped;
 }
@@ -188,7 +201,7 @@ Tracer::instant(const char *name, std::uint64_t arg)
     Buffer &b = buffer();
     std::lock_guard<std::mutex> lock(b.mutex);
     if (b.events.size() < capacity_)
-        b.events.push_back({name, ts, arg, Phase::Instant, true});
+        b.events.push_back({name, ts, {{{"arg", arg}}}, Phase::Instant});
     else
         ++b.dropped;
 }
@@ -264,9 +277,12 @@ Tracer::chromeTrace() const
         entry.set("ts", static_cast<double>(p.event.tsNs) / 1000.0);
         entry.set("pid", 1);
         entry.set("tid", static_cast<double>(p.tid));
-        if (p.event.hasArg) {
+        if (p.event.args[0].key != nullptr) {
             json::Value args = json::Value::makeObject();
-            args.set("arg", static_cast<double>(p.event.arg));
+            for (const TraceArg &arg : p.event.args) {
+                if (arg.key != nullptr)
+                    args.set(arg.key, static_cast<double>(arg.value));
+            }
             entry.set("args", std::move(args));
         }
         events.push(std::move(entry));

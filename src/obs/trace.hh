@@ -28,11 +28,13 @@
 #ifndef SDNAV_OBS_TRACE_HH
 #define SDNAV_OBS_TRACE_HH
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,6 +42,17 @@
 
 namespace sdnav::obs
 {
+
+/**
+ * A named number on a trace event, exported under "args". The key,
+ * like an event name, must be a string literal (or otherwise outlive
+ * the tracer).
+ */
+struct TraceArg
+{
+    const char *key = nullptr;
+    std::uint64_t value = 0;
+};
 
 /** Folded view of tracer activity across all threads. */
 struct TraceStats
@@ -98,6 +111,11 @@ class Tracer
 
     /** Close the innermost open span ("E" event). */
     void end(const char *name);
+
+    /** As end(), with named args on the "E" event; trace viewers
+     *  merge them with the span's begin args. At most two are kept;
+     *  entries with a null key are skipped. */
+    void end(const char *name, std::span<const TraceArg> args);
 
     /** A point event on the calling thread's track ("i" event). */
     void instant(const char *name);
@@ -171,13 +189,30 @@ class TraceSpan
     ~TraceSpan()
     {
         if (active_)
-            tracer_->end(name_);
+            tracer_->end(name_, args_);
+    }
+
+    /**
+     * Attach a named value to the span, recorded on its end event. A
+     * span holds two; a third is dropped. The key must be a string
+     * literal, like the name.
+     */
+    void
+    arg(const char *key, std::uint64_t value)
+    {
+        for (TraceArg &slot : args_) {
+            if (slot.key == nullptr) {
+                slot = {key, value};
+                return;
+            }
+        }
     }
 
   private:
     Tracer *tracer_;
     const char *name_;
     bool active_;
+    std::array<TraceArg, 2> args_{};
 };
 
 } // namespace sdnav::obs

@@ -242,9 +242,11 @@ compileFrozen(const RbdSystem &system, const CompileOptions &options)
         manager.reorderSifting(options.reorderOptions);
     }
     manager.clearStepBudget();
-    // The build phase is over: the cache/table stats are final.
+    // The build phase is over: the cache/table stats are final, and
+    // the computed cache is dead weight.
     manager.recordMetrics();
-    return {manager.freeze(root), manager.stats()};
+    manager.releaseIteCache();
+    return {manager.freeze(root, options.classes), manager.stats()};
 }
 
 namespace

@@ -230,6 +230,15 @@ struct CompileOptions
      */
     std::vector<unsigned> levels;
 
+    /**
+     * Input classes: component i is evaluated with the probability
+     * of the diagram's input classes[i], and components of one class
+     * must share one availability (see bdd::BddManager::freeze(),
+     * which folds the diagram over them). Empty gives every component
+     * its own input, its id.
+     */
+    std::vector<unsigned> classes;
+
     /** Sift the diagram after compilation (values unchanged). */
     bool reorder = false;
 
@@ -248,8 +257,8 @@ struct CompileOptions
 /** A compiled structure function and the cost of compiling it. */
 struct FrozenRbd
 {
-    /** The root's reachable nodes; component i is variable i,
-     *  whatever level the order put it on. */
+    /** The root's reachable nodes, folded over the classes; component
+     *  i is variable i, whatever level the order put it on. */
     bdd::FrozenDiagram diagram;
 
     /** The build manager's final statistics (peak nodes included). */

@@ -21,29 +21,46 @@ RequestLog::append(const RequestRecord &record)
 {
     if (!enabled_)
         return;
-    // json::Value handles the string escaping (peer and key are
-    // server-generated, but outcome-adjacent errors may not be).
-    json::Value doc = json::Value::makeObject();
-    doc.set("id", static_cast<double>(record.id));
-    doc.set("peer", record.peer);
-    doc.set("kind", record.kind);
-    doc.set("key", record.key);
-    doc.set("cache", record.cache);
-    doc.set("parse_ms", record.parseMs);
-    doc.set("queue_wait_ms", record.queueWaitMs);
-    doc.set("compile_ms", record.compileMs);
-    doc.set("compile_minor_faults",
-            static_cast<double>(record.compileMinorFaults));
-    doc.set("variable_order", record.variableOrder);
-    doc.set("eval_ms", record.evalMs);
-    doc.set("serialize_ms", record.serializeMs);
-    doc.set("reply_bytes", static_cast<double>(record.replyBytes));
-    doc.set("latency_ms", record.latencyMs);
-    doc.set("outcome", record.outcome);
-    std::string line = doc.dump();
+    // Written as text by the reply writers' codec, which escapes the
+    // strings (peer and key are server-generated, but outcome-adjacent
+    // errors may not be).
+    std::string line;
+    line.reserve(384);
+    auto member = [&line](const char *name) {
+        line += line.empty() ? "{\"" : ",\"";
+        line += name;
+        line += "\":";
+    };
+    auto string = [&](const char *name, const std::string &value) {
+        member(name);
+        json::appendString(line, value);
+    };
+    auto number = [&](const char *name, double value) {
+        member(name);
+        json::appendNumber(line, value);
+    };
+    number("id", static_cast<double>(record.id));
+    string("peer", record.peer);
+    string("kind", record.kind);
+    string("key", record.key);
+    string("cache", record.cache);
+    number("parse_ms", record.parseMs);
+    number("queue_wait_ms", record.queueWaitMs);
+    number("compile_ms", record.compileMs);
+    number("compile_minor_faults",
+           static_cast<double>(record.compileMinorFaults));
+    string("variable_order", record.variableOrder);
+    number("bdd_nodes", static_cast<double>(record.bddNodes));
+    number("eval_nodes", static_cast<double>(record.evalNodes));
+    number("eval_ms", record.evalMs);
+    number("serialize_ms", record.serializeMs);
+    number("reply_bytes", static_cast<double>(record.replyBytes));
+    number("latency_ms", record.latencyMs);
+    string("outcome", record.outcome);
+    line += "}\n";
 
     std::lock_guard<std::mutex> lock(mutex_);
-    out_ << line << '\n';
+    out_ << line;
     // One flush per record: the log must survive a crashed or killed
     // server, which is exactly when it is needed.
     out_.flush();

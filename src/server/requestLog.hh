@@ -15,6 +15,7 @@
  *    "compile_minor_faults": 0,
  *    "variable_order": "role_major" | "node_major" | "sif" | "mixed"
  *                      | "",
+ *    "bdd_nodes": 0, "eval_nodes": 0,
  *    "eval_ms": 0.02, "serialize_ms": 0.001, "reply_bytes": 213,
  *    "latency_ms": 0.21, "outcome": "ok" | "error" | "budget_exceeded"}
  *
@@ -37,8 +38,17 @@
  * ordered one. Hits, coalesced waits and failed compiles read "";
  * a batch whose compiles used different orders reads "mixed".
  *
- * Writes take one mutex and flush per record (a crashed server keeps
- * its log).
+ * bdd_nodes and eval_nodes size what a miss compiled: the BDD's
+ * reachable nodes, and the nodes each evaluation of the model
+ * computes once its diagram is folded over the five component
+ * classes (model::ExactPlaneModel). eval_nodes is at most bdd_nodes;
+ * their ratio is the fold's saving per evaluation. Hits and
+ * coalesced waits read 0 for both, and a batch sums its misses.
+ *
+ * A record is written as text by the reply writers' codec
+ * (json::appendString / appendNumber), one line per request. Writes
+ * take one mutex and flush per record (a crashed server keeps its
+ * log).
  */
 
 #ifndef SDNAV_SERVER_REQUEST_LOG_HH
@@ -90,6 +100,12 @@ struct RequestRecord
      *  items disagree, empty when nothing compiled. */
     std::string variableOrder;
 
+    /** Reachable BDD nodes of the models this request compiled, and
+     *  the nodes their evaluation computes once folded over the
+     *  component classes; summed like compileMs, so 0 on hits. */
+    std::uint64_t bddNodes = 0;
+    std::uint64_t evalNodes = 0;
+
     /** Size of the reply line (without the newline). */
     std::size_t replyBytes = 0;
 
@@ -116,7 +132,8 @@ class RequestLog
     /** True once open() succeeded. */
     bool enabled() const { return enabled_; }
 
-    /** Serialize and append one record (no-op until open()). */
+    /** Write one record as a line and flush it (no-op until
+     *  open()). */
     void append(const RequestRecord &record);
 
   private:

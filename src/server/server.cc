@@ -492,6 +492,8 @@ Server::handleLine(const std::string &line, const std::string &peer,
         record.queueWaitMs += telemetry.queueWaitMs;
         record.compileMs += telemetry.compileMs;
         record.compileMinorFaults += telemetry.compileMinorFaults;
+        record.bddNodes += telemetry.bddNodes;
+        record.evalNodes += telemetry.evalNodes;
         record.evalMs += telemetry.evalMs;
         record.serializeMs += telemetry.serializeMs;
         fold(record.cache, telemetry.cache);
@@ -574,6 +576,8 @@ Server::serveQuery(const ParsedQuery &item, std::uint64_t requestId)
         if (!lookup.hit) {
             telemetry.compileMs = lookup.compileMs;
             telemetry.compileMinorFaults = lookup.compileMinorFaults;
+            telemetry.bddNodes = lookup.model->bddNodeCount();
+            telemetry.evalNodes = lookup.model->evalNodeCount();
             telemetry.variableOrder =
                 model::variableOrderName(lookup.model->variableOrder());
         }

@@ -126,6 +126,11 @@ struct JobTelemetry
     /** Minor page faults of this job's compile; 0 on a hit. */
     std::uint64_t compileMinorFaults = 0;
 
+    /** The compiled model's reachable BDD nodes and class-folded
+     *  evaluation nodes when this job compiled; 0 on a hit. */
+    std::uint64_t bddNodes = 0;
+    std::uint64_t evalNodes = 0;
+
     /** Model evaluation wall time. */
     double evalMs = 0.0;
 

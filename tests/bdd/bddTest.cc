@@ -13,6 +13,8 @@
 
 #include "bdd/bdd.hh"
 #include "common/error.hh"
+#include "common/json.hh"
+#include "obs/trace.hh"
 #include "prob/combinatorics.hh"
 #include "prob/rng.hh"
 #include "support/referenceProbability.hh"
@@ -827,6 +829,68 @@ TEST(Bdd, PermutedManagerMatchesItsRelabeledTwinThroughSifting)
     expect_twins();
     m.removeRoot(f);
     twin.removeRoot(g);
+}
+
+TEST(Bdd, FreezeFoldsEqualNodesOfOneClass)
+{
+    // a ? x : y with x and y in one class: the x and y nodes compute
+    // the same expression, so they share a slot, and the a node's two
+    // children become that one slot.
+    BddManager m;
+    NodeRef a = m.var(0);
+    NodeRef f = m.ite(a, m.var(1), m.var(2));
+    const std::vector<unsigned> classes = {1, 0, 0};
+    FrozenDiagram folded = m.freeze(f, classes);
+    EXPECT_EQ(folded.bddNodeCount(), 3u);
+    EXPECT_EQ(folded.nodeCount(), 2u);
+
+    // Its value is the unfolded diagram's at each variable's class
+    // probability, bit for bit; the class inputs are all it reads.
+    ProbabilityScratch scratch;
+    const std::vector<double> class_probs = {0.3, 0.7};
+    const std::vector<double> probs = {0.7, 0.3, 0.3};
+    expectSameBits(folded.probability(class_probs, scratch),
+                   m.freeze(f).probability(probs, scratch));
+    EXPECT_THROW(folded.probability(std::vector<double>{0.3}, scratch),
+                 sdnav::ModelError);
+
+    // dP/dp_c sums the Birnbaum importances of the class's variables.
+    std::vector<double> grad, birnbaum;
+    folded.gradient(class_probs, scratch, grad);
+    m.freeze(f).gradient(probs, scratch, birnbaum);
+    ASSERT_EQ(grad.size(), 2u);
+    EXPECT_NEAR(grad[0], birnbaum[1] + birnbaum[2], 1e-15);
+    EXPECT_NEAR(grad[1], birnbaum[0], 1e-15);
+
+    // In different classes the two nodes stay apart, and a map that
+    // does not cover every variable is refused.
+    EXPECT_EQ(m.freeze(f, std::vector<unsigned>{2, 0, 1}).nodeCount(), 3u);
+    EXPECT_THROW(m.freeze(f, std::vector<unsigned>{0, 0}),
+                 sdnav::ModelError);
+}
+
+TEST(Bdd, FreezeSpanCarriesTheNodeCounts)
+{
+    sdnav::obs::Tracer &tracer = sdnav::obs::Tracer::global();
+    tracer.reset();
+    tracer.enable();
+    BddManager m;
+    NodeRef f = m.ite(m.var(0), m.var(1), m.var(2));
+    m.freeze(f, std::vector<unsigned>{1, 0, 0});
+    tracer.disable();
+    bool found = false;
+    const sdnav::json::Value trace = tracer.chromeTrace();
+    for (const sdnav::json::Value &event :
+         trace.at("traceEvents").asArray()) {
+        if (event.at("name").asString() != "bdd.freeze" ||
+            event.at("ph").asString() != "E")
+            continue;
+        found = true;
+        EXPECT_EQ(event.at("args").at("bdd_nodes").asNumber(), 3.0);
+        EXPECT_EQ(event.at("args").at("eval_nodes").asNumber(), 2.0);
+    }
+    EXPECT_TRUE(found);
+    tracer.reset();
 }
 
 TEST(Bdd, LevelOrderMustBeAPermutation)

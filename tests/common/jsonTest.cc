@@ -120,6 +120,41 @@ TEST(JsonParse, OutOfRangeNumbersFailWithTheirOffset)
     }
 }
 
+TEST(JsonParse, LeadingZerosFailAtTheZero)
+{
+    // RFC 8259 allows 0 as an integer part, never 0 before a digit.
+    const std::pair<const char *, const char *> cases[] = {
+        {"01", "offset 0"},
+        {"-007.5", "offset 1"},
+        {"[00]", "offset 1"},
+        {R"({"nodes": 03})", "offset 10"},
+        {"-01e2", "offset 1"},
+    };
+    for (const auto &[text, offset] : cases) {
+        try {
+            parse(text);
+            FAIL() << "expected ModelError for " << text;
+        } catch (const ModelError &e) {
+            EXPECT_EQ(std::string(e.what()),
+                      std::string("JSON parse error at ") + offset +
+                          ": leading zero in number")
+                << text;
+        }
+    }
+}
+
+TEST(JsonParse, ZeroIntegerPartsStillParse)
+{
+    EXPECT_EQ(parse("0").asNumber(), 0.0);
+    EXPECT_TRUE(std::signbit(parse("-0").asNumber()));
+    EXPECT_EQ(parse("0.5").asNumber(), 0.5);
+    EXPECT_EQ(parse("-0.25").asNumber(), -0.25);
+    EXPECT_EQ(parse("0e1").asNumber(), 0.0);
+    EXPECT_EQ(parse("0E-3").asNumber(), 0.0);
+    EXPECT_EQ(parse("[0,10,0.0]").asArray()[1].asNumber(), 10.0);
+    EXPECT_EQ(parse("100").asNumber(), 100.0);
+}
+
 TEST(JsonParse, SubnormalsReadAsTheirNearestDouble)
 {
     EXPECT_EQ(parse("4e-320").asNumber(), 4e-320);

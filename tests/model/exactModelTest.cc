@@ -229,8 +229,9 @@ TEST(ExactPlaneModelTest, ScratchAndScratchlessAgreeBitExactly)
 
 TEST(ExactPlaneModelTest, EvaluationKeepsItsInputsInTheScratch)
 {
-    // The per-component probabilities live in the caller's scratch:
-    // after the first call, evaluations reuse that one buffer.
+    // The diagram's inputs are the five class availabilities, and
+    // they live in the caller's scratch: after the first call,
+    // evaluations reuse that one buffer.
     auto catalog = fmea::openContrail3();
     ExactPlaneModel engine(catalog, topology::largeTopology(),
                            SupervisorPolicy::Required,
@@ -239,7 +240,13 @@ TEST(ExactPlaneModelTest, EvaluationKeepsItsInputsInTheScratch)
     SwParams base;
     const double first = engine.availability(base, scratch);
     const double *held = scratch.inputs().data();
-    ASSERT_EQ(scratch.inputs().size(), engine.componentCount());
+    ASSERT_EQ(scratch.inputs().size(), sdnav::model::kExactClassCount);
+    EXPECT_EQ(scratch.inputs()[static_cast<std::size_t>(
+                  sdnav::model::ExactComponentClass::Rack)],
+              base.rackAvailability);
+    EXPECT_EQ(scratch.inputs()[static_cast<std::size_t>(
+                  sdnav::model::ExactComponentClass::ManualProcess)],
+              base.manualProcessAvailability);
     for (double shift : {-1.0, 0.0, 1.0}) {
         engine.availability(base.withDowntimeShift(shift), scratch);
         EXPECT_EQ(scratch.inputs().data(), held);

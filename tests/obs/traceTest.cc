@@ -80,6 +80,31 @@ TEST(Tracer, DisabledRecordsNothing)
     EXPECT_TRUE(traceBody(tracer.chromeTrace()).empty());
 }
 
+TEST(Tracer, SpanArgsGoOnTheEndEvent)
+{
+    obs::Tracer tracer;
+    tracer.enable();
+    {
+        obs::TraceSpan span("work", 7, tracer);
+        span.arg("nodes", 12);
+        span.arg("kept", 5);
+        span.arg("dropped", 1); // A span holds two.
+    }
+    { obs::TraceSpan plain("plain", tracer); }
+    tracer.disable();
+
+    std::vector<json::Value> body = traceBody(tracer.chromeTrace());
+    ASSERT_EQ(body.size(), 4u);
+    EXPECT_DOUBLE_EQ(body[0].at("args").at("arg").asNumber(), 7.0);
+    ASSERT_EQ(body[1].at("ph").asString(), "E");
+    const json::Value &args = body[1].at("args");
+    EXPECT_DOUBLE_EQ(args.at("nodes").asNumber(), 12.0);
+    EXPECT_DOUBLE_EQ(args.at("kept").asNumber(), 5.0);
+    EXPECT_FALSE(args.contains("dropped"));
+    EXPECT_FALSE(body[2].contains("args"));
+    EXPECT_FALSE(body[3].contains("args"));
+}
+
 TEST(Tracer, RecordsSpansAndInstants)
 {
     obs::Tracer tracer;

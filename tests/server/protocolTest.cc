@@ -1,5 +1,7 @@
 #include "server/protocol.hh"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/error.hh"
@@ -97,6 +99,23 @@ TEST(Protocol, MalformedJsonThrows)
     EXPECT_THROW(parseRequest("{nope", 16), ModelError);
     EXPECT_THROW(parseRequest("[1,2,3]", 16), ModelError);
     EXPECT_THROW(parseRequest("42", 16), ModelError);
+}
+
+TEST(Protocol, LeadingZeroNumbersGetAnErrorReply)
+{
+    // "nodes":03 is not JSON: the line fails to parse, so the reply is
+    // an error line, not a query for three nodes.
+    const std::string line = R"({"id":1,"catalog":"raft","nodes":03})";
+    try {
+        parseRequest(line, 16);
+        FAIL() << "expected ModelError for " << line;
+    } catch (const ModelError &e) {
+        EXPECT_EQ(errorReplyLine(json::Value{}, e.what()),
+                  R"({"ok":false,"error":"JSON parse error at offset 33: )"
+                  R"(leading zero in number"})");
+    }
+    EXPECT_EQ(parseRequest(R"({"nodes":3})", 16).queries[0].spec.nodes,
+              3u);
 }
 
 TEST(Protocol, CommandsParse)

@@ -964,8 +964,8 @@ TEST(Server, RequestLogWritesOneRecordPerRequest)
     for (const char *key :
          {"id", "peer", "kind", "key", "cache", "parse_ms",
           "queue_wait_ms", "compile_ms", "compile_minor_faults",
-          "variable_order", "eval_ms", "serialize_ms", "reply_bytes",
-          "latency_ms", "outcome"})
+          "variable_order", "bdd_nodes", "eval_nodes", "eval_ms",
+          "serialize_ms", "reply_bytes", "latency_ms", "outcome"})
         EXPECT_TRUE(records[0].contains(key)) << "missing " << key;
 
     // Every record times its parse and its reply writing, and its
@@ -1005,6 +1005,14 @@ TEST(Server, RequestLogWritesOneRecordPerRequest)
                   model::SupervisorPolicy::Required,
                   fmea::Plane::ControlPlane)));
     EXPECT_EQ(records[1].at("variable_order").asString(), "");
+    // The miss sizes its model before and after the class fold; the
+    // hit compiled nothing.
+    const double bddNodes = records[0].at("bdd_nodes").asNumber();
+    const double evalNodes = records[0].at("eval_nodes").asNumber();
+    EXPECT_GT(evalNodes, 0.0);
+    EXPECT_LE(evalNodes, bddNodes);
+    EXPECT_EQ(records[1].at("bdd_nodes").asNumber(), 0.0);
+    EXPECT_EQ(records[1].at("eval_nodes").asNumber(), 0.0);
 
     // The command: no key, no cache interaction, still logged.
     EXPECT_EQ(records[2].at("kind").asString(), "cmd:ping");
