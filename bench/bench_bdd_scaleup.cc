@@ -2,8 +2,8 @@
  * @file
  * BDD engine scale-up: exact structure-function compilation for
  * generalized 2N+1 clusters at ten times the paper's Large reference
- * (cluster size 31 vs 3), exercising sifting-based variable
- * reordering and the garbage collection that opens each sifting pass.
+ * (cluster size 31 vs 3), each compiled under the order its level
+ * permutation fixes up front.
  *
  * The control-plane ladder uses the Raft-style catalog: its six
  * quorum blocks keep the exact diagram polynomial in the cluster
@@ -21,7 +21,6 @@
  */
 
 #include <chrono>
-#include <cmath>
 #include <cstddef>
 #include <iostream>
 #include <string>
@@ -68,11 +67,10 @@ printReport()
 
     TextTable table;
     table.header({"N", "nodes", "components", "BDD nodes",
-                  "sifted nodes", "peak nodes", "compile ms",
-                  "sift ms", "CP exact m/y"});
+                  "peak nodes", "compile ms", "CP exact m/y"});
     CsvWriter csv;
     csv.header({"n_tolerated", "nodes", "components", "bdd_nodes",
-                "bdd_nodes_sifted", "cp_exact"});
+                "cp_exact"});
     for (unsigned tolerated : kTolerated) {
         std::size_t nodes = prob::clusterSize(tolerated);
         auto topo = topology::largeTopology(raft_roles, nodes);
@@ -89,54 +87,33 @@ printReport()
         double compile_ms = elapsedMs(t0);
         std::size_t peak = plain.stats.peakNodes;
 
-        // Sifting cost grows with the variable count; cap the pass at
-        // the 64 widest variables so the largest clusters stay inside
-        // the bench budget while the small ones sift everything.
-        rbd::CompileOptions sift_opts = node_major;
-        sift_opts.reorder = true;
-        sift_opts.reorderOptions.maxVars = 64;
-        t0 = clock_type::now();
-        rbd::FrozenRbd sifted = rbd::compileFrozen(system, sift_opts);
-        double sift_ms = elapsedMs(t0);
-
         bdd::ProbabilityScratch scratch;
         double cp = plain.diagram.probability(system.availabilities(),
                                               scratch);
-        double cp_sifted = sifted.diagram.probability(
-            system.availabilities(), scratch);
-        require(std::abs(cp - cp_sifted) <= 1e-12,
-                "reordering changed the exact availability");
 
         bench::recordValue("compile_ms_nodes" + std::to_string(nodes),
                            compile_ms);
         bench::recordValue("peak_nodes_nodes" + std::to_string(nodes),
                            static_cast<double>(peak));
-        bench::recordValue("sift_ms_nodes" + std::to_string(nodes),
-                           sift_ms);
         table.addRow(
             {std::to_string(tolerated), std::to_string(nodes),
              std::to_string(system.componentCount()),
              std::to_string(plain.diagram.nodeCount()),
-             std::to_string(sifted.diagram.nodeCount()),
              std::to_string(peak), formatFixed(compile_ms, 2),
-             formatFixed(sift_ms, 2),
              formatFixed(availabilityToDowntimeMinutesPerYear(cp),
                          3)});
         csv.addRow(
             std::to_string(tolerated),
             {static_cast<double>(nodes),
              static_cast<double>(system.componentCount()),
-             static_cast<double>(plain.diagram.nodeCount()),
-             static_cast<double>(sifted.diagram.nodeCount()), cp});
+             static_cast<double>(plain.diagram.nodeCount()), cp});
     }
     std::cout << table.str() << "\n";
     std::cout
         << "The exact diagram stays polynomial in the cluster size "
            "under the node-major\norder — quorum counting crosses "
            "each node group with only the per-block\ncounters as "
-           "state — and sifting shrinks what the static order leaves "
-           "on the\ntable without changing a single availability "
-           "value.\n";
+           "state.\n";
     bench::writeCsv(csv, "bdd_scaleup.csv");
 
     bench::section("Variable-order sensitivity — OpenContrail CP at "
@@ -195,7 +172,7 @@ printReport()
     bench::recordValue("importance_gradient_ms", gradient_ms);
     std::cout << birnbaum.size() << " components: compile "
               << formatFixed(compile_ms, 2) << " ms ("
-              << manager.liveNodes() << " nodes), freeze "
+              << manager.totalNodes() << " nodes), freeze "
               << formatFixed(freeze_ms, 2) << " ms ("
               << diagram.nodeCount() << " reachable), gradient "
               << formatFixed(gradient_ms, 3) << " ms\n";

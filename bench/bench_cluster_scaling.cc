@@ -7,7 +7,6 @@
  */
 
 #include <chrono>
-#include <cmath>
 #include <iostream>
 
 #include "bench/benchCommon.hh"
@@ -131,43 +130,6 @@ printReport()
     }
     std::cout << bdd_table.str() << "\n";
     bench::writeCsv(bdd_csv, "cluster_scaling_bdd.csv");
-
-    bench::section("Exact BDD — sifting the control-plane diagram "
-                   "(reference cluster)");
-    // At the reference cluster size the CP diagram is feasible; the
-    // sifting knob must shrink (or at worst keep) it while leaving
-    // the availability untouched.
-    {
-        auto topo = topology::largeTopology(4, 3);
-        auto t0 = clock::now();
-        ExactPlaneModel plain(catalog, topo,
-                              SupervisorPolicy::Required,
-                              fmea::Plane::ControlPlane);
-        double compile_ms =
-            std::chrono::duration<double, std::milli>(clock::now() - t0)
-                .count();
-        ExactPlaneModel::Options sift;
-        sift.reorderBdd = true;
-        t0 = clock::now();
-        ExactPlaneModel sifted(catalog, topo,
-                               SupervisorPolicy::Required,
-                               fmea::Plane::ControlPlane, sift);
-        double sift_ms =
-            std::chrono::duration<double, std::milli>(clock::now() - t0)
-                .count();
-        double cp = plain.availability(params);
-        double cp_sifted = sifted.availability(params);
-        require(std::abs(cp - cp_sifted) <= 1e-12,
-                "sifting changed the exact CP availability");
-        bench::recordValue("exact_cp_compile_ms", compile_ms);
-        bench::recordValue("exact_cp_sift_ms", sift_ms);
-        std::cout << "CP exact at 3 nodes: " << plain.bddNodeCount()
-                  << " nodes, sifted " << sifted.bddNodeCount()
-                  << " nodes, availability unchanged ("
-                  << formatFixed(
-                         availabilityToDowntimeMinutesPerYear(cp), 3)
-                  << " m/y)\n";
-    }
 
     bench::section("Sweep engine — serial vs parallel (cluster "
                    "scaling)");

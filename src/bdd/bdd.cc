@@ -17,12 +17,6 @@ namespace
 {
 
 /**
- * Sifting abandons a direction once the live node count exceeds this
- * multiple of the best size seen for the variable being moved.
- */
-constexpr double kSiftMaxGrowth = 1.2;
-
-/**
  * Fold `op` over fs pairwise in a balanced tree; `unit` for empty
  * input. Each round combines neighbours (0,1), (2,3), ... and carries
  * an odd last operand, so every operand takes part in about log2(n)
@@ -91,8 +85,8 @@ BddManager::ensureVariable(unsigned index)
 {
     if (index < variable_count_)
         return;
-    // New variables enter at the bottom level, so an earlier
-    // reorderSifting() pass keeps its permutation intact.
+    // New variables enter at the bottom level, so the constructor's
+    // permutation keeps its levels.
     for (unsigned v = variable_count_; v <= index; ++v) {
         subtables_.emplace_back();
         level_of_var_.push_back(v);
@@ -143,8 +137,7 @@ BddManager::throwBudgetExceeded(const char *budgetName) const
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - budget_start_)
             .count();
-    throw BudgetExceeded(budgetName, liveNodes(), gc_runs_,
-                         elapsed_ms);
+    throw BudgetExceeded(budgetName, nodes_.size(), elapsed_ms);
 }
 
 void
@@ -169,7 +162,7 @@ BddManager::makeNode(unsigned var, NodeRef low, NodeRef high)
     // sole allocation path): a runaway build aborts as soon as it
     // crosses the cap, long before the wall deadline would notice.
     if (budget_armed_ && budget_.nodeCap > 0 &&
-        liveNodes() >= budget_.nodeCap)
+        nodes_.size() >= budget_.nodeCap)
         throwBudgetExceeded("node-cap");
     SubTable &table = subtables_[var];
     if (table.buckets.empty())
@@ -183,78 +176,15 @@ BddManager::makeNode(unsigned var, NodeRef low, NodeRef high)
         }
     }
     ++unique_misses_;
-    NodeRef ref;
-    if (free_head_ != 0) {
-        ref = free_head_;
-        free_head_ = nodes_[ref].next;
-        --free_count_;
-        nodes_[ref] = {var, low, high, table.buckets[bucket]};
-    } else {
-        require(nodes_.size() < std::numeric_limits<NodeRef>::max(),
-                "BDD node capacity exhausted");
-        ref = static_cast<NodeRef>(nodes_.size());
-        nodes_.push_back({var, low, high, table.buckets[bucket]});
-    }
+    require(nodes_.size() < std::numeric_limits<NodeRef>::max(),
+            "BDD node capacity exhausted");
+    const auto ref = static_cast<NodeRef>(nodes_.size());
+    nodes_.push_back({var, low, high, table.buckets[bucket]});
     table.buckets[bucket] = ref;
     ++table.count;
-    if (sifting_) {
-        if (reorder_refs_.size() <= ref)
-            reorder_refs_.resize(ref + 1, 0);
-        reorder_refs_[ref] = 0;
-        ++reorder_refs_[low];
-        ++reorder_refs_[high];
-    }
-    if (liveNodes() > peak_live_)
-        peak_live_ = liveNodes();
     if (table.count * 4 > table.buckets.size() * 3)
         rehash(table);
     return ref;
-}
-
-void
-BddManager::unlink(NodeRef n)
-{
-    Node &node = nodes_[n];
-    SubTable &table = subtables_[node.var];
-    std::size_t bucket =
-        hashChildren(node.low, node.high) & (table.buckets.size() - 1);
-    NodeRef *link = &table.buckets[bucket];
-    while (*link != n) {
-        require(*link != 0,
-                "BDD unique table corrupt: node missing from bucket");
-        link = &nodes_[*link].next;
-    }
-    *link = node.next;
-    --table.count;
-}
-
-void
-BddManager::insertUnique(NodeRef n)
-{
-    Node &node = nodes_[n];
-    SubTable &table = subtables_[node.var];
-    if (table.buckets.empty())
-        table.buckets.assign(kInitialBuckets, 0);
-    std::size_t bucket =
-        hashChildren(node.low, node.high) & (table.buckets.size() - 1);
-    for (NodeRef p = table.buckets[bucket]; p != 0; p = nodes_[p].next) {
-        require(nodes_[p].low != node.low ||
-                    nodes_[p].high != node.high,
-                "BDD unique table corrupt: duplicate node insert");
-    }
-    node.next = table.buckets[bucket];
-    table.buckets[bucket] = n;
-    ++table.count;
-    if (table.count * 4 > table.buckets.size() * 3)
-        rehash(table);
-}
-
-void
-BddManager::freeNode(NodeRef n)
-{
-    nodes_[n].next = free_head_;
-    free_head_ = n;
-    ++free_count_;
 }
 
 NodeRef
@@ -319,21 +249,15 @@ BddManager::growIteCache()
         return;
     while (size < nodes_.size() && size < kMaxIteCache)
         size *= 2;
-    // Carry the entries over: only GC and sifting can invalidate one,
-    // and both clear the cache. An entry's new slot keeps its old
-    // slot index in its low bits, so no carried entry evicts another.
+    // Carry the entries over: nodes are never freed, so every entry
+    // stays valid. An entry's new slot keeps its old slot index in
+    // its low bits, so no carried entry evicts another.
     std::vector<IteEntry> old =
         std::exchange(ite_cache_, std::vector<IteEntry>(size));
     for (const IteEntry &entry : old) {
         if (entry.f != 0)
             ite_cache_[iteSlot(entry.f, entry.g, entry.h)] = entry;
     }
-}
-
-void
-BddManager::clearIteCache()
-{
-    std::fill(ite_cache_.begin(), ite_cache_.end(), IteEntry{});
 }
 
 void
@@ -604,7 +528,7 @@ BddManager::freeze(NodeRef f, std::span<const unsigned> classOfVariable) const
     // below, an expanded node's map entry holds its level, and
     // level_start[] counts the nodes per level.
     std::vector<NodeRef> refs;
-    refs.reserve(liveNodes());
+    refs.reserve(nodes_.size());
     std::vector<std::uint32_t> level_start(variable_count_, 0);
     auto find = [&](NodeRef ref) {
         if (slot[ref] == unvisited) {
@@ -817,283 +741,12 @@ BddManager::nodeCount(NodeRef f) const
     return count;
 }
 
-void
-BddManager::addRoot(NodeRef f)
-{
-    if (isTerminal(f))
-        return;
-    require(f < nodes_.size(), "addRoot(): unknown node");
-    ++roots_[f];
-}
-
-void
-BddManager::removeRoot(NodeRef f)
-{
-    if (isTerminal(f))
-        return;
-    auto it = roots_.find(f);
-    require(it != roots_.end(), "removeRoot(): ref is not a root");
-    if (--it->second == 0)
-        roots_.erase(it);
-}
-
-std::size_t
-BddManager::collectGarbage()
-{
-    obs::TraceSpan trace_span("bdd.gc",
-                              static_cast<std::uint64_t>(liveNodes()));
-    ++gc_runs_;
-
-    // Mark: terminals plus everything reachable from a root.
-    std::vector<std::uint8_t> marked(nodes_.size(), 0);
-    marked[falseNode] = 1;
-    marked[trueNode] = 1;
-    std::vector<NodeRef> stack;
-    for (const auto &[root, count] : roots_) {
-        (void)count;
-        if (!marked[root]) {
-            marked[root] = 1;
-            stack.push_back(root);
-        }
-    }
-    while (!stack.empty()) {
-        const Node &node = nodes_[stack.back()];
-        stack.pop_back();
-        if (!marked[node.low]) {
-            marked[node.low] = 1;
-            stack.push_back(node.low);
-        }
-        if (!marked[node.high]) {
-            marked[node.high] = 1;
-            stack.push_back(node.high);
-        }
-    }
-
-    // Sweep: unlink dead nodes from their subtables into the free
-    // list. Already-free slots sit in no subtable, so they are never
-    // visited (let alone double-freed).
-    std::size_t freed = 0;
-    for (SubTable &table : subtables_) {
-        for (NodeRef &head : table.buckets) {
-            NodeRef *link = &head;
-            while (*link != 0) {
-                NodeRef cur = *link;
-                if (marked[cur]) {
-                    link = &nodes_[cur].next;
-                } else {
-                    *link = nodes_[cur].next;
-                    --table.count;
-                    freeNode(cur);
-                    ++freed;
-                }
-            }
-        }
-    }
-
-    // Cache entries may name dead nodes whose slots will be recycled
-    // to different functions; drop them all.
-    clearIteCache();
-    gc_reclaimed_ += freed;
-    return freed;
-}
-
-void
-BddManager::decReorderRef(NodeRef f)
-{
-    std::vector<NodeRef> &stack = reorder_dec_stack_;
-    stack.push_back(f);
-    while (!stack.empty()) {
-        NodeRef cur = stack.back();
-        stack.pop_back();
-        if (isTerminal(cur))
-            continue;
-        require(reorder_refs_[cur] > 0,
-                "BDD reorder refcount underflow");
-        if (--reorder_refs_[cur] != 0)
-            continue;
-        unlink(cur);
-        stack.push_back(nodes_[cur].low);
-        stack.push_back(nodes_[cur].high);
-        freeNode(cur);
-    }
-}
-
-void
-BddManager::swapAdjacentLevels(unsigned level)
-{
-    unsigned x = var_at_level_[level];
-    unsigned y = var_at_level_[level + 1];
-    ++reorder_swaps_;
-
-    // Only x-nodes with a y child change shape; every other node
-    // keeps its (var, low, high) triple and merely sits at a new
-    // level implicitly. Unlink the affected nodes first so the
-    // makeNode() lookups below cannot find stale entries.
-    SubTable &xtable = subtables_[x];
-    std::vector<NodeRef> affected;
-    for (NodeRef &head : xtable.buckets) {
-        NodeRef *link = &head;
-        while (*link != 0) {
-            NodeRef cur = *link;
-            const Node &node = nodes_[cur];
-            bool low_y =
-                !isTerminal(node.low) && nodes_[node.low].var == y;
-            bool high_y =
-                !isTerminal(node.high) && nodes_[node.high].var == y;
-            if (low_y || high_y) {
-                *link = node.next;
-                --xtable.count;
-                affected.push_back(cur);
-            } else {
-                link = &nodes_[cur].next;
-            }
-        }
-    }
-
-    for (NodeRef n : affected) {
-        // f = x ? f1 : f0; f_ab = f with x=a, y=b. After the swap y
-        // tests first: f = y ? (x ? f11 : f01) : (x ? f10 : f00).
-        NodeRef f0 = nodes_[n].low;
-        NodeRef f1 = nodes_[n].high;
-        bool f0y = !isTerminal(f0) && nodes_[f0].var == y;
-        bool f1y = !isTerminal(f1) && nodes_[f1].var == y;
-        NodeRef f00 = f0y ? nodes_[f0].low : f0;
-        NodeRef f01 = f0y ? nodes_[f0].high : f0;
-        NodeRef f10 = f1y ? nodes_[f1].low : f1;
-        NodeRef f11 = f1y ? nodes_[f1].high : f1;
-        NodeRef new_low = makeNode(x, f00, f10);
-        NodeRef new_high = makeNode(x, f01, f11);
-        // Add the edges into the new children before dropping the
-        // old ones, so shared subgraphs never transit through zero.
-        ++reorder_refs_[new_low];
-        ++reorder_refs_[new_high];
-        // Rewrite in place: n keeps its ref and its function, so
-        // rooted handles (and parents' child pointers) stay valid.
-        nodes_[n].var = y;
-        nodes_[n].low = new_low;
-        nodes_[n].high = new_high;
-        insertUnique(n);
-        decReorderRef(f0);
-        decReorderRef(f1);
-    }
-
-    var_at_level_[level] = y;
-    var_at_level_[level + 1] = x;
-    level_of_var_[x] = level + 1;
-    level_of_var_[y] = level;
-}
-
-std::size_t
-BddManager::reorderSifting(const ReorderOptions &options)
-{
-    obs::TraceSpan trace_span("bdd.reorder",
-                              static_cast<std::uint64_t>(liveNodes()));
-    ++reorder_runs_;
-
-    // Safe point: drop garbage first so the sift decisions (and the
-    // reference counts below) only see live structure.
-    collectGarbage();
-    const std::size_t before = liveNodes();
-    if (variable_count_ < 2)
-        return 0;
-
-    // Reorder-time reference counts: edges between live nodes plus
-    // root registrations. Swaps keep them current, so dead cofactor
-    // nodes are reclaimed immediately and liveNodes() stays an exact
-    // signal while sifting.
-    reorder_refs_.assign(nodes_.size(), 0);
-    for (const SubTable &table : subtables_) {
-        for (NodeRef head : table.buckets) {
-            for (NodeRef p = head; p != 0; p = nodes_[p].next) {
-                ++reorder_refs_[nodes_[p].low];
-                ++reorder_refs_[nodes_[p].high];
-            }
-        }
-    }
-    for (const auto &[root, count] : roots_)
-        reorder_refs_[root] += count;
-    sifting_ = true;
-
-    // Sift the fattest variables first; they have the most to gain.
-    // Ties go top level first, so sifting a diagram depends on its
-    // order alone, not on how its variables happen to be numbered.
-    std::vector<unsigned> order = var_at_level_;
-    std::stable_sort(order.begin(), order.end(),
-                     [this](unsigned a, unsigned b) {
-                         return subtables_[a].count >
-                                subtables_[b].count;
-                     });
-    if (options.maxVars != 0 && order.size() > options.maxVars)
-        order.resize(options.maxVars);
-
-    const unsigned levels = variable_count_;
-    for (unsigned v : order) {
-        if (subtables_[v].count == 0)
-            continue;
-        std::size_t best_size = liveNodes();
-        unsigned best_level = level_of_var_[v];
-        unsigned cur = best_level;
-        // Down to the bottom level, then up through the top, keeping
-        // the best position seen; abort a direction when the diagram
-        // grows past the budget.
-        while (cur + 1 < levels) {
-            swapAdjacentLevels(cur);
-            ++cur;
-            std::size_t size = liveNodes();
-            if (size < best_size) {
-                best_size = size;
-                best_level = cur;
-            }
-            if (static_cast<double>(size) >
-                static_cast<double>(best_size) * kSiftMaxGrowth)
-                break;
-        }
-        while (cur > 0) {
-            swapAdjacentLevels(cur - 1);
-            --cur;
-            std::size_t size = liveNodes();
-            if (size < best_size) {
-                best_size = size;
-                best_level = cur;
-            }
-            if (static_cast<double>(size) >
-                static_cast<double>(best_size) * kSiftMaxGrowth)
-                break;
-        }
-        while (cur < best_level) {
-            swapAdjacentLevels(cur);
-            ++cur;
-        }
-        while (cur > best_level) {
-            swapAdjacentLevels(cur - 1);
-            --cur;
-        }
-    }
-
-    sifting_ = false;
-    reorder_refs_.clear();
-    reorder_refs_.shrink_to_fit();
-    // Cache entries survive in-place rewrites semantically, but may
-    // reference slots freed above; drop them wholesale.
-    clearIteCache();
-    const std::size_t after = liveNodes();
-    return before > after ? before - after : 0;
-}
-
 unsigned
 BddManager::levelOfVariable(unsigned index) const
 {
     require(index < variable_count_,
             "levelOfVariable(): unknown variable");
     return level_of_var_[index];
-}
-
-unsigned
-BddManager::variableAtLevel(unsigned level) const
-{
-    require(level < variable_count_,
-            "variableAtLevel(): unknown level");
-    return var_at_level_[level];
 }
 
 BddStats
@@ -1104,14 +757,7 @@ BddManager::stats() const
     s.iteCacheMisses = ite_cache_misses_;
     s.uniqueTableHits = unique_hits_;
     s.uniqueTableMisses = unique_misses_;
-    s.uniqueTableSize = liveNodes() - 2;
-    s.peakNodes = peak_live_;
-    s.liveNodes = liveNodes();
-    s.freeNodes = free_count_;
-    s.gcRuns = gc_runs_;
-    s.gcReclaimedNodes = gc_reclaimed_;
-    s.reorderRuns = reorder_runs_;
-    s.reorderSwaps = reorder_swaps_;
+    s.peakNodes = nodes_.size();
     s.variables = variable_count_;
     return s;
 }
@@ -1126,17 +772,9 @@ BddManager::recordMetrics() const
     registry.counter("bdd.unique_table_hits").add(s.uniqueTableHits);
     registry.counter("bdd.unique_table_misses")
         .add(s.uniqueTableMisses);
-    registry.counter("bdd.gc_runs").add(s.gcRuns);
-    registry.counter("bdd.gc_reclaimed_nodes").add(s.gcReclaimedNodes);
-    registry.counter("bdd.reorder_runs").add(s.reorderRuns);
-    registry.counter("bdd.reorder_swaps").add(s.reorderSwaps);
     registry.counter("bdd.managers_published").add();
-    registry.gauge("bdd.unique_table_size")
-        .setMax(static_cast<double>(s.uniqueTableSize));
     registry.gauge("bdd.peak_nodes")
         .setMax(static_cast<double>(s.peakNodes));
-    registry.gauge("bdd.live_nodes")
-        .setMax(static_cast<double>(s.liveNodes));
 }
 
 unsigned

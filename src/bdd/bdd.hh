@@ -13,15 +13,10 @@
  *
  * The engine stores nodes in an arena (one contiguous vector) with
  * per-variable unique subtables chained through the nodes themselves,
- * so hash-consing allocates nothing beyond the arena. On top of that
- * it provides:
+ * so hash-consing allocates nothing beyond the arena. The arena only
+ * grows: a manager builds one structure function, is frozen and is
+ * dropped, so it never reclaims a node. On top of that it provides:
  *
- *  - mark-and-sweep garbage collection with explicit root
- *    registration (addRoot / removeRoot), run as the safe point that
- *    opens every sifting pass;
- *  - optional sifting-based dynamic variable reordering
- *    (reorderSifting) that rewrites nodes in place, so NodeRefs held
- *    by callers stay valid and keep denoting the same function;
  *  - ITE-based apply with a lossy direct-mapped computed cache that
  *    keeps its entries when it grows with the arena, balanced
  *    pairwise AND/OR folds and threshold ("at least m of these
@@ -33,11 +28,10 @@
  *    optionally folded over classes of variables that share one
  *    probability; the manager can then be dropped.
  *
- * Callers control the initial variable order, either by how they
- * number their variables or by handing the constructor a level
- * permutation; reordering only runs when explicitly requested. GC
- * and reordering are *safe points*: the caller guarantees every ref
- * it still cares about is registered as a root before invoking them.
+ * Callers choose the variable order, either by how they number their
+ * variables or by handing the constructor a level permutation. Every
+ * node keeps the level that order gives it for the manager's
+ * lifetime.
  */
 
 #ifndef SDNAV_BDD_BDD_HH
@@ -49,7 +43,6 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bdd/pageAlloc.hh"
@@ -79,32 +72,16 @@ struct BddStats
     std::uint64_t uniqueTableHits = 0;
     std::uint64_t uniqueTableMisses = 0;
 
-    /** Entries in the unique table (live non-terminal nodes). */
-    std::size_t uniqueTableSize = 0;
-
-    /** High-water mark of simultaneously live nodes (terminals in). */
+    /** Nodes the arena holds, terminals included. Nothing is ever
+     *  freed, so this is also the build's high-water mark. */
     std::size_t peakNodes = 0;
-
-    /** Live nodes right now, terminals included. */
-    std::size_t liveNodes = 0;
-
-    /** Arena slots parked on the free list. */
-    std::size_t freeNodes = 0;
-
-    /** Garbage collections run / nodes reclaimed across them. */
-    std::uint64_t gcRuns = 0;
-    std::uint64_t gcReclaimedNodes = 0;
-
-    /** Sifting passes run / adjacent-level swaps performed. */
-    std::uint64_t reorderRuns = 0;
-    std::uint64_t reorderSwaps = 0;
 
     /** Distinct variables created. */
     unsigned variables = 0;
 };
 
 /**
- * Cooperative build budget: a wall-clock deadline and/or a live-node
+ * Cooperative build budget: a wall-clock deadline and/or a node
  * cap enforced inside the apply loops. Some structure functions are
  * exponentially large under every order the builder knows (the
  * OpenContrail Large topology past 3 nodes), and a server compiling
@@ -117,7 +94,7 @@ struct StepBudget
     /** Wall-clock limit on one build phase, in ms (0 = unlimited). */
     double wallMs = 0.0;
 
-    /** Live-node cap, terminals included (0 = unlimited). */
+    /** Node cap, terminals included (0 = unlimited). */
     std::size_t nodeCap = 0;
 
     /** True when either limit is set. */
@@ -131,33 +108,28 @@ struct StepBudget
 /**
  * Thrown by BddManager when an active StepBudget is exhausted. Carries
  * the engine state at the abort so the error reply (and the request
- * log) can say how far the build got — nodes allocated, GC runs,
- * elapsed wall time — not just that it died.
+ * log) can say how far the build got — nodes allocated, elapsed wall
+ * time — not just that it died.
  */
 class BudgetExceeded : public std::runtime_error
 {
   public:
     BudgetExceeded(const std::string &budgetName,
-                   std::size_t nodesAllocated, std::uint64_t gcRuns,
-                   double elapsedMs)
+                   std::size_t nodesAllocated, double elapsedMs)
         : std::runtime_error(
               "BDD build budget exceeded (" + budgetName + "): " +
               std::to_string(nodesAllocated) + " nodes allocated, " +
-              std::to_string(gcRuns) + " GC runs, " +
               std::to_string(elapsedMs) + " ms elapsed"),
           budget_name_(budgetName), nodes_allocated_(nodesAllocated),
-          gc_runs_(gcRuns), elapsed_ms_(elapsedMs)
+          elapsed_ms_(elapsedMs)
     {
     }
 
     /** Which limit tripped: "node-cap" or "wall-deadline". */
     const std::string &budgetName() const { return budget_name_; }
 
-    /** Live nodes in the manager at the abort. */
+    /** Nodes in the manager at the abort. */
     std::size_t nodesAllocated() const { return nodes_allocated_; }
-
-    /** Garbage collections the build had run before aborting. */
-    std::uint64_t gcRuns() const { return gc_runs_; }
 
     /** Wall time since the budget was armed, in ms. */
     double elapsedMs() const { return elapsed_ms_; }
@@ -165,7 +137,6 @@ class BudgetExceeded : public std::runtime_error
   private:
     std::string budget_name_;
     std::size_t nodes_allocated_;
-    std::uint64_t gc_runs_;
     double elapsed_ms_;
 };
 
@@ -336,21 +307,13 @@ class ProbabilityScratch
     std::vector<double> inputs_;
 };
 
-/** Tuning knobs for sifting-based dynamic variable reordering. */
-struct ReorderOptions
-{
-    /** Sift only the this-many largest variables (0 = all). */
-    std::size_t maxVars = 0;
-};
-
 /**
  * Owns all BDD nodes and implements the BDD algebra.
  *
  * Nodes are hash-consed: structurally equal functions share a single
- * node, so equality of functions is ref equality. NodeRefs stay valid
- * until the node is garbage-collected; refs registered as roots (and
- * everything they reach) survive collection, and reordering rewrites
- * nodes in place so rooted refs keep denoting the same function.
+ * node, so equality of functions is ref equality. Nodes are never
+ * freed or moved to another level, so a NodeRef stays valid, and
+ * keeps denoting the same function, for the manager's lifetime.
  */
 class BddManager
 {
@@ -454,66 +417,18 @@ class BddManager
     /** High child (variable true) of a non-terminal node. */
     NodeRef nodeHigh(NodeRef f) const;
 
-    /** Arena slots allocated, free-listed ones included. */
+    /** Nodes allocated, terminals included. */
     std::size_t totalNodes() const { return nodes_.size(); }
-
-    /** Live (not reclaimed) nodes, terminals included. */
-    std::size_t
-    liveNodes() const
-    {
-        return nodes_.size() - free_count_;
-    }
 
     /** Highest variable index created so far, plus one. */
     unsigned variableCount() const { return variable_count_; }
 
-    /**
-     * Register `f` as a GC root. Each addRoot must be balanced by a
-     * removeRoot; a ref rooted n times survives until n removals.
-     * Rooting a terminal is a no-op (terminals always survive).
-     */
-    void addRoot(NodeRef f);
-
-    /** Drop one root registration of `f`. */
-    void removeRoot(NodeRef f);
-
-    /**
-     * Mark-and-sweep collection: every node not reachable from a
-     * registered root is unlinked from the unique table and parked on
-     * the free list for reuse. The ITE computed cache is dropped (it
-     * may reference dead nodes). Safe point: the caller guarantees
-     * every ref it still cares about is rooted.
-     *
-     * @return The number of nodes reclaimed.
-     */
-    std::size_t collectGarbage();
-
-    /**
-     * Sifting-based dynamic variable reordering (Rudell): each
-     * variable is moved through all levels via adjacent-level swaps
-     * and left at the level minimising the live node count. Nodes are
-     * rewritten in place, so existing refs stay valid and keep
-     * denoting the same function; variable *indices* never change
-     * (probability vectors stay index-aligned), only their levels.
-     *
-     * Runs a collection first, so this is a safe point like
-     * collectGarbage(): every ref the caller still cares about must
-     * be rooted.
-     *
-     * @return Net live nodes eliminated by the pass.
-     */
-    std::size_t reorderSifting(const ReorderOptions &options = {});
-
-    /** The level a variable currently sits at: the constructor's
-     *  order until a reorder moves it. */
+    /** The level a variable sits at: the constructor's order. */
     unsigned levelOfVariable(unsigned index) const;
-
-    /** The variable sitting at a level. */
-    unsigned variableAtLevel(unsigned level) const;
 
     /**
      * Arm a cooperative build budget and start its wall clock. Until
-     * clearStepBudget(), node allocation checks the live-node cap and
+     * clearStepBudget(), node allocation checks the node cap and
      * the apply loops periodically check the wall deadline; crossing
      * either throws BudgetExceeded. The manager survives the abort in
      * a consistent state (hash-consing invariants hold), so the owner
@@ -544,19 +459,15 @@ class BddManager
 
     /**
      * Fold this manager's stats into the global obs registry
-     * (counters "bdd.*", gauges "bdd.unique_table_size" /
-     * "bdd.peak_nodes" / "bdd.live_nodes" as set-max high-water
-     * marks). Callers that own a manager publish once, after the
-     * build phase.
+     * (counters "bdd.*", the gauge "bdd.peak_nodes" as a set-max
+     * high-water mark). Callers that own a manager publish once,
+     * after the build phase.
      */
     void recordMetrics() const;
 
   private:
-    /**
-     * Arena node. `next` chains the node into its variable's unique
-     * subtable bucket while live, and into the free list once
-     * reclaimed (a node is never in both).
-     */
+    /** Arena node. `next` chains the node into its variable's
+     *  unique subtable bucket. */
     struct Node
     {
         unsigned var;
@@ -565,12 +476,8 @@ class BddManager
         NodeRef next;
     };
 
-    /**
-     * One variable's slice of the unique table: power-of-two open
-     * hash buckets chained through Node::next. Keeping subtables per
-     * variable is what makes adjacent-level swaps and GC sweeps touch
-     * only the nodes they must.
-     */
+    /** One variable's slice of the unique table: power-of-two open
+     *  hash buckets chained through Node::next. */
     struct SubTable
     {
         std::vector<NodeRef> buckets;
@@ -610,16 +517,6 @@ class BddManager
     /** Double a subtable's bucket array and re-chain its nodes. */
     void rehash(SubTable &table);
 
-    /** Remove a live node from its variable's subtable. */
-    void unlink(NodeRef n);
-
-    /** Insert a node into its variable's subtable, requiring that no
-     *  equal node is already present. */
-    void insertUnique(NodeRef n);
-
-    /** Park an unlinked node on the free list. */
-    void freeNode(NodeRef n);
-
     /** Resolve one ite call without recursing: terminal rules, then
      *  the computed cache. True when `out` holds the result. */
     bool iteShortcut(NodeRef f, NodeRef g, NodeRef h, NodeRef &out);
@@ -634,20 +531,11 @@ class BddManager
      */
     void growIteCache();
 
-    /** Clear the computed cache in place (GC / reorder). */
-    void clearIteCache();
-
     /** Throw BudgetExceeded for the named limit. */
     [[noreturn]] void throwBudgetExceeded(const char *budgetName) const;
 
     /** Wall-deadline check, called periodically from apply loops. */
     void checkWallBudget();
-
-    /** Swap the variables at levels `level` and `level + 1`. */
-    void swapAdjacentLevels(unsigned level);
-
-    /** Drop one reorder-time reference from f, cascading frees. */
-    void decReorderRef(NodeRef f);
 
     bool isTerminal(NodeRef f) const { return f <= trueNode; }
 
@@ -658,30 +546,11 @@ class BddManager
     std::vector<IteEntry> ite_cache_;
     std::vector<IteFrame> ite_frames_;
 
-    /** Level permutation: the constructor's (identity by default),
-     *  until reorderSifting moves it. */
+    /** Level permutation: the constructor's (identity by default). */
     std::vector<unsigned> level_of_var_;
     std::vector<unsigned> var_at_level_;
 
-    /** Free list head (0 = empty; terminals are never freed). */
-    NodeRef free_head_ = 0;
-    std::size_t free_count_ = 0;
-
-    /** GC roots: ref -> registration count. */
-    std::unordered_map<NodeRef, std::uint32_t> roots_;
-
-    /**
-     * Reorder-time internal reference counts (edges + roots), sized
-     * to the arena only while a sifting pass is active. Maintaining
-     * them lets swaps reclaim dead cofactor nodes immediately, which
-     * keeps the live-size signal the sift decisions use exact.
-     */
-    std::vector<std::uint32_t> reorder_refs_;
-    std::vector<NodeRef> reorder_dec_stack_;
-    bool sifting_ = false;
-
     unsigned variable_count_ = 0;
-    std::size_t peak_live_ = 2;
 
     /** Armed build budget; checked only while budget_armed_. */
     StepBudget budget_{};
@@ -693,10 +562,6 @@ class BddManager
     std::uint64_t ite_cache_misses_ = 0;
     std::uint64_t unique_hits_ = 0;
     std::uint64_t unique_misses_ = 0;
-    std::uint64_t gc_runs_ = 0;
-    std::uint64_t gc_reclaimed_ = 0;
-    std::uint64_t reorder_runs_ = 0;
-    std::uint64_t reorder_swaps_ = 0;
 
     /** ite() loop iterations between wall-deadline checks. */
     static constexpr std::uint32_t kBudgetCheckInterval = 1024;

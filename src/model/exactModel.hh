@@ -196,17 +196,7 @@ class ExactPlaneModel
             ExactVariableOrder::SharedInfrastructureFirst;
 
         /**
-         * Sift the compiled diagram (bdd::BddManager::reorderSifting)
-         * after compilation. Shrinks node count on orders the builder
-         * got wrong; availability values are unchanged.
-         */
-        bool reorderBdd = false;
-
-        /** Tuning for the reorder pass when enabled. */
-        bdd::ReorderOptions reorderOptions{};
-
-        /**
-         * Compile budget (wall deadline / live-node cap) forwarded to
+         * Compile budget (wall deadline / node cap) forwarded to
          * rbd::compileFrozen(); exceeding it throws
          * bdd::BudgetExceeded out of the constructor. Defaults to
          * unlimited.

@@ -8,7 +8,7 @@
  * test greps it. The mapping from the registry's dotted names:
  *
  *   counter  server.requests         -> server_requests_total
- *   gauge    bdd.live_nodes          -> bdd_live_nodes
+ *   gauge    bdd.peak_nodes          -> bdd_peak_nodes
  *   timer    server.eval             -> server_eval_ms_sum / _ms_count
  *   histogram server.request_latency_ms
  *        -> server_request_latency_ms_bucket{le="..."} (cumulative)

@@ -228,18 +228,13 @@ compileFrozen(const RbdSystem &system, const CompileOptions &options)
 {
     bdd::BddManager manager(options.levels);
     // Arm the budget before the build so its clock covers the whole
-    // compile, reorder pass included.
+    // compile.
     if (options.budget.limited())
         manager.setStepBudget(options.budget);
     bdd::NodeRef root;
     {
         obs::TraceSpan trace_span("bdd.compile");
         root = system.compile(manager);
-    }
-    if (options.reorder) {
-        // Sifting collects first; the root must survive it.
-        manager.addRoot(root);
-        manager.reorderSifting(options.reorderOptions);
     }
     manager.clearStepBudget();
     // The build phase is over: the cache/table stats are final, and
@@ -300,14 +295,11 @@ RbdSystem::criticalityImportance(ComponentId id) const
 }
 
 std::vector<ImportanceEntry>
-RbdSystem::rankImportance(const ImportanceOptions &options) const
+RbdSystem::rankImportance() const
 {
-    CompileOptions compile_options;
-    compile_options.reorder = options.reorder;
-    compile_options.reorderOptions = options.reorderOptions;
     std::vector<double> birnbaum;
     double system_unavailability =
-        birnbaumAndUnavailability(*this, compile_options, birnbaum);
+        birnbaumAndUnavailability(*this, {}, birnbaum);
 
     std::vector<ImportanceEntry> entries;
     entries.reserve(availabilities_.size());

@@ -42,22 +42,6 @@ struct MonteCarloResult
     bool brackets(double value) const;
 };
 
-/** Knobs for the importance ranking engines. */
-struct ImportanceOptions
-{
-    /**
-     * Run a sifting reorder pass on the compiled diagram before it is
-     * frozen and differentiated. Off by default: reordering changes
-     * diagram shape and summation order (values agree to rounding),
-     * and the paper-scale topologies compile compactly under the
-     * natural component order.
-     */
-    bool reorder = false;
-
-    /** Tuning for the reorder pass when enabled. */
-    bdd::ReorderOptions reorderOptions{};
-};
-
 /** One row of an importance ranking. */
 struct ImportanceEntry
 {
@@ -192,8 +176,7 @@ class RbdSystem
      * Components whose criticalities agree to 1e-10 relative (the
      * symmetric ones, split only by rounding) rank in id order.
      */
-    std::vector<ImportanceEntry>
-    rankImportance(const ImportanceOptions &options = {}) const;
+    std::vector<ImportanceEntry> rankImportance() const;
 
     /**
      * Compile the structure function into the given BDD manager, with
@@ -239,17 +222,10 @@ struct CompileOptions
      */
     std::vector<unsigned> classes;
 
-    /** Sift the diagram after compilation (values unchanged). */
-    bool reorder = false;
-
-    /** Tuning for the reorder pass when enabled. */
-    bdd::ReorderOptions reorderOptions{};
-
     /**
-     * Compile budget (wall deadline / live-node cap); enforced across
-     * the whole build including the optional reorder pass. Exceeding
-     * it throws bdd::BudgetExceeded. Zeroed fields (the default) are
-     * unlimited.
+     * Compile budget (wall deadline / node cap); enforced across the
+     * whole build. Exceeding it throws bdd::BudgetExceeded. Zeroed
+     * fields (the default) are unlimited.
      */
     bdd::StepBudget budget{};
 };

@@ -127,7 +127,6 @@ ModelCache::Failure::current()
     } catch (const bdd::BudgetExceeded &e) {
         failure.budgetName = e.budgetName();
         failure.nodesAllocated = e.nodesAllocated();
-        failure.gcRuns = e.gcRuns();
         failure.elapsedMs = e.elapsedMs();
     } catch (const std::exception &e) {
         failure.message = e.what();
@@ -141,8 +140,7 @@ void
 ModelCache::Failure::raise() const
 {
     if (!budgetName.empty())
-        throw bdd::BudgetExceeded(budgetName, nodesAllocated, gcRuns,
-                                  elapsedMs);
+        throw bdd::BudgetExceeded(budgetName, nodesAllocated, elapsedMs);
     throw ModelError(message);
 }
 

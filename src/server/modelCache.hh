@@ -146,7 +146,6 @@ class ModelCache
         /** The tripped budget; empty for any other failure. */
         std::string budgetName;
         std::size_t nodesAllocated = 0;
-        std::uint64_t gcRuns = 0;
         double elapsedMs = 0.0;
 
         /** what() of a failure that was not a budget abort. */

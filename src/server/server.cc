@@ -622,8 +622,6 @@ Server::serveQuery(const ParsedQuery &item, std::uint64_t requestId)
         json::appendString(m, e.budgetName());
         m += ",\"nodes_allocated\":";
         json::appendNumber(m, static_cast<double>(e.nodesAllocated()));
-        m += ",\"gc_runs\":";
-        json::appendNumber(m, static_cast<double>(e.gcRuns()));
         m += ",\"elapsed_ms\":";
         json::appendNumber(m, e.elapsedMs());
     } catch (const std::exception &e) {

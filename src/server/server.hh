@@ -99,7 +99,7 @@ struct ServerOptions
 
     /**
      * Per-query compile budget: wall deadline in milliseconds and
-     * live-BDD-node cap (0 = unlimited). A compile that exceeds
+     * BDD node cap (0 = unlimited). A compile that exceeds
      * either returns a budget_exceeded error reply for that request;
      * the session and the cache stay healthy. Enforcement is plain
      * control flow, independent of the obs metrics.

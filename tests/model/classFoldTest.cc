@@ -65,8 +65,7 @@ struct Frozen
 Frozen
 freezeBoth(const fmea::ControllerCatalog &catalog,
            const topology::DeploymentTopology &topo,
-           SupervisorPolicy policy, Plane plane, ExactVariableOrder order,
-           bool sift = false)
+           SupervisorPolicy policy, Plane plane, ExactVariableOrder order)
 {
     Frozen out;
     rbd::RbdSystem system = model::buildExactSystem(
@@ -74,10 +73,6 @@ freezeBoth(const fmea::ControllerCatalog &catalog,
     bdd::BddManager manager(
         model::exactVariableLevels(catalog, topo, policy, plane, order));
     bdd::NodeRef root = system.compile(manager);
-    if (sift) {
-        manager.addRoot(root);
-        manager.reorderSifting();
-    }
     std::vector<unsigned> classes;
     for (ExactComponentClass cls : out.classes)
         classes.push_back(static_cast<unsigned>(cls));
@@ -192,30 +187,6 @@ TEST(ClassFold, FoldedAndUnfoldedAgreeToTheBit)
     }
     // The fold is not vacuous: most of these diagrams shrink.
     EXPECT_GT(folded_models, 54u);
-}
-
-TEST(ClassFold, SiftedModelAgreesToTheBit)
-{
-    auto catalog = fmea::openContrail3();
-    auto topo = topology::smallTopology(catalog.roles().size(), 3);
-    ExactPlaneModel::Options options;
-    options.reorderBdd = true;
-    ExactPlaneModel model(catalog, topo, SupervisorPolicy::Required,
-                          Plane::ControlPlane, options);
-    Frozen frozen = freezeBoth(
-        catalog, topo, SupervisorPolicy::Required, Plane::ControlPlane,
-        ExactVariableOrder::SharedInfrastructureFirst, true);
-    EXPECT_EQ(model.bddNodeCount(), frozen.unfolded.nodeCount());
-    EXPECT_LT(model.evalNodeCount(), model.bddNodeCount());
-    prob::Rng rng(7);
-    bdd::ProbabilityScratch scratch;
-    for (int point = 0; point < 16; ++point) {
-        model::SwParams params = drawParams(rng);
-        EXPECT_EQ(bits(model.availability(params, scratch)),
-                  bits(frozen.unfolded.probability(
-                      componentProbs(frozen.classes, params), scratch)))
-            << "at point " << point;
-    }
 }
 
 TEST(ClassFold, WithoutAMapTheDiagramIsUnchanged)

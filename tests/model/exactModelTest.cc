@@ -270,29 +270,6 @@ TEST(ExactPlaneModelTest, RepeatedEvaluationDoesNotGrowBdd)
     EXPECT_EQ(engine.totalBddNodes(), nodes);
 }
 
-TEST(ExactPlaneModelTest, ReorderedModelMatchesDefaultAvailability)
-{
-    auto catalog = fmea::openContrail3();
-    auto topo = topology::mediumTopology();
-    ExactPlaneModel plain(catalog, topo, SupervisorPolicy::Required,
-                          Plane::ControlPlane);
-    ExactPlaneModel::Options options;
-    options.reorderBdd = true;
-    ExactPlaneModel sifted(catalog, topo, SupervisorPolicy::Required,
-                           Plane::ControlPlane, options);
-    SwParams base;
-    for (double shift : {-1.0, 0.0, 1.0}) {
-        SwParams params = base.withDowntimeShift(shift);
-        // 1e-12, not 1e-15: the sifted diagram evaluates the same
-        // polynomial in a different association order.
-        EXPECT_NEAR(plain.availability(params),
-                    sifted.availability(params), 1e-12)
-            << "shift " << shift;
-    }
-    // Sifting may only shrink or keep the reachable diagram.
-    EXPECT_LE(sifted.bddNodeCount(), plain.bddNodeCount());
-}
-
 /** One exact model behind a golden CSV. */
 struct GoldenCase
 {

@@ -193,42 +193,6 @@ TEST(RbdSystem, CriticalityIdentifiesWeakLink)
     EXPECT_LT(ranking[1].criticality, 0.1);
 }
 
-TEST(RbdSystem, RankImportanceWithReorderMatchesDefault)
-{
-    // Reordering changes the diagram shape, never the functions it
-    // denotes: the ranking must agree with the default path to within
-    // floating-point reassociation noise.
-    RbdSystem system;
-    std::vector<ComponentId> ids;
-    for (int i = 0; i < 9; ++i) {
-        ids.push_back(system.addComponent("c" + std::to_string(i),
-                                          0.9 + 0.01 * i));
-    }
-    // Interleaved pairing ((c0&c3)|(c1&c4)|... style) so sifting has
-    // something real to improve.
-    std::vector<Block> pairs;
-    for (int i = 0; i < 3; ++i) {
-        pairs.push_back(series(
-            {component(ids[i]), component(ids[i + 3]),
-             component(ids[i + 6])}));
-    }
-    system.setRoot(parallel(std::move(pairs)));
-
-    auto plain = system.rankImportance();
-    ImportanceOptions options;
-    options.reorder = true;
-    auto reordered = system.rankImportance(options);
-    ASSERT_EQ(plain.size(), reordered.size());
-    for (std::size_t i = 0; i < plain.size(); ++i) {
-        EXPECT_EQ(plain[i].component, reordered[i].component);
-        // 1e-12, not 1e-15: the sifted diagram sums the same products
-        // in a different association order.
-        EXPECT_NEAR(plain[i].birnbaum, reordered[i].birnbaum, 1e-12);
-        EXPECT_NEAR(plain[i].criticality, reordered[i].criticality,
-                    1e-12);
-    }
-}
-
 TEST(RbdSystem, SymmetricComponentsRankInIdOrder)
 {
     // 2L-DP: OpenContrail's host data plane on the Large topology,
@@ -256,23 +220,13 @@ TEST(RbdSystem, SymmetricComponentsRankInIdOrder)
     }
 }
 
-TEST(CompileFrozen, ReorderOptionPreservesProbability)
+TEST(CompileFrozen, PeakCoversTheFrozenNodes)
 {
     RbdSystem system = twoOfThreeSystem(0.9);
     FrozenRbd plain = compileFrozen(system);
-    CompileOptions options;
-    options.reorder = true;
-    FrozenRbd sifted = compileFrozen(system, options);
-    const std::vector<double> &avail = system.availabilities();
-    sdnav::bdd::ProbabilityScratch scratch;
-    EXPECT_NEAR(plain.diagram.probability(avail, scratch),
-                sifted.diagram.probability(avail, scratch), 1e-15);
-    EXPECT_LE(sifted.diagram.nodeCount(), plain.diagram.nodeCount());
     // The stats are the build manager's: its peak covers the frozen
-    // nodes plus the terminals, and only the sifted build reordered.
+    // nodes plus the terminals.
     EXPECT_GE(plain.stats.peakNodes, plain.diagram.nodeCount() + 2);
-    EXPECT_EQ(plain.stats.reorderRuns, 0u);
-    EXPECT_EQ(sifted.stats.reorderRuns, 1u);
 }
 
 TEST(RbdSystem, CriticalityZeroForPerfectSystem)

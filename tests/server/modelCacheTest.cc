@@ -279,7 +279,7 @@ TEST(ModelCache, RejectsZeroCapacity)
 TEST(ModelCache, CompileBudgetAbortSurfacesAndDoesNotPoison)
 {
     ModelCache cache(2);
-    // A 16-live-node cap is below even this small model's variable
+    // A 16-node cap is below even this small model's variable
     // count, so the compile aborts almost immediately.
     cache.setCompileBudget(bdd::StepBudget{0.0, 16});
     QuerySpec query = spec("opencontrail", 3);

@@ -166,7 +166,51 @@ TEST(Cli, BadInputsReportErrorsGracefully)
     EXPECT_EQ(bad_availability.exitCode, 2);
 
     auto missing_value = runCli("analyze --topology");
-    EXPECT_EQ(missing_value.exitCode, 1);
+    EXPECT_EQ(missing_value.exitCode, 2);
+}
+
+TEST(Cli, UnknownOptionIsAUsageErrorNamingIt)
+{
+    // Misspelled, retired, or read by another command only: each is
+    // refused before any work runs, instead of being ignored.
+    const std::string trace = testing::TempDir() + "/cli_unread.json";
+    std::remove(trace.c_str());
+    for (const std::string &args :
+         {std::string("rank --top 2 --topologyy small"),
+          std::string("analyze --polcy none"),
+          std::string("simulate --hours 100 --metrix m.json"),
+          std::string("tables --plane dp"),
+          "rank --bdd-reorder --trace " + trace}) {
+        auto result = runCli(args);
+        EXPECT_EQ(result.exitCode, 2) << args;
+        EXPECT_NE(result.output.find("unknown option --"),
+                  std::string::npos)
+            << args;
+        EXPECT_NE(result.output.find("usage:"), std::string::npos)
+            << args;
+    }
+    EXPECT_NE(runCli("rank --bdd-reorder").output.find("--bdd-reorder"),
+              std::string::npos);
+    EXPECT_NE(runCli("analyze --polcy none").output.find("--polcy"),
+              std::string::npos);
+    // The trace was never armed, so nothing was written.
+    FILE *written = std::fopen(trace.c_str(), "r");
+    EXPECT_EQ(written, nullptr);
+    if (written != nullptr)
+        std::fclose(written);
+}
+
+TEST(Cli, OptionWithoutItsValueIsAUsageError)
+{
+    // At the end of the line, or followed by another option: the next
+    // option is never taken as the value.
+    for (const char *args : {"rank --nodes", "rank --nodes --top 2"}) {
+        auto result = runCli(args);
+        EXPECT_EQ(result.exitCode, 2) << args;
+        EXPECT_NE(result.output.find("option --nodes needs a value"),
+                  std::string::npos)
+            << args;
+    }
 }
 
 TEST(Cli, SimulateSmokeRun)

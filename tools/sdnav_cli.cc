@@ -18,11 +18,13 @@
  * topology/topologyIo.hh for the schemas).
  */
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/attribution.hh"
@@ -54,9 +56,10 @@ using namespace sdnav;
 namespace model = sdnav::model;
 
 /**
- * A bad option value. Distinct from ModelError so main() can report
- * it as a usage failure (exit 2, naming the flag) instead of the
- * generic runtime-error path.
+ * A bad option: unknown to the command, missing its value, or with a
+ * malformed value. Distinct from ModelError so main() can report it
+ * as a usage failure (exit 2, naming the flag) instead of the generic
+ * runtime-error path.
  */
 struct UsageError : std::runtime_error
 {
@@ -115,34 +118,6 @@ struct Args
         }
     }
 };
-
-/** Options that are flags: present means "on", no value consumed. */
-bool
-isFlagOption(const std::string &key)
-{
-    return key == "attribution" || key == "bdd-reorder";
-}
-
-Args
-parseArgs(int argc, char **argv)
-{
-    Args args;
-    for (int i = 2; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg.rfind("--", 0) == 0) {
-            std::string key = arg.substr(2);
-            if (isFlagOption(key)) {
-                args.options[key] = "on";
-                continue;
-            }
-            require(i + 1 < argc, "option " + arg + " needs a value");
-            args.options[key] = argv[++i];
-        } else {
-            args.positional.push_back(arg);
-        }
-    }
-    return args;
-}
 
 fmea::ControllerCatalog
 resolveCatalog(const Args &args)
@@ -280,9 +255,7 @@ cmdRank(const Args &args)
 
     auto system =
         model::buildExactSystem(catalog, topo, policy, params, plane);
-    rbd::ImportanceOptions importance;
-    importance.reorder = args.has("bdd-reorder");
-    auto ranking = system.rankImportance(importance);
+    auto ranking = system.rankImportance();
     std::size_t top =
         args.getCount("top", 10);
     TextTable table;
@@ -716,6 +689,71 @@ outputPathWritable(const std::string &path)
     return probe.good();
 }
 
+/** A command, its handler and every option it reads. */
+struct Command
+{
+    std::string_view name;
+    int (*run)(const Args &);
+    /** Space-separated option names, beside kCommonOptions. */
+    std::string_view options;
+};
+
+/** Options every command accepts: where the run's telemetry goes. */
+constexpr std::string_view kCommonOptions = "metrics trace";
+
+/** Options that are flags: present means "on", no value consumed. */
+constexpr std::string_view kFlagOptions = "attribution";
+
+const Command kCommands[] = {
+    {"tables", cmdTables, "catalog catalog-file nodes fmea"},
+    {"analyze", cmdAnalyze,
+     "catalog catalog-file topology topology-file nodes policy "
+     "a as av ah ar sensitivity threads"},
+    {"rank", cmdRank,
+     "catalog catalog-file topology topology-file nodes policy "
+     "a as av ah ar plane top"},
+    {"outage", cmdOutage,
+     "catalog catalog-file topology topology-file nodes policy "
+     "a as av ah ar plane mtbf vm-mtbf host-mtbf rack-mtbf"},
+    {"transient", cmdTransient,
+     "catalog catalog-file topology topology-file nodes policy "
+     "a as av ah ar plane mtbf from"},
+    {"cutsets", cmdCutSets,
+     "catalog catalog-file topology topology-file nodes policy "
+     "a as av ah ar plane order top"},
+    {"fleet", cmdFleet,
+     "catalog catalog-file topology topology-file nodes policy "
+     "a as av ah ar plane mtbf sites"},
+    {"figures", cmdFigures,
+     "catalog catalog-file a as av ah ar points threads exact csv-dir"},
+    {"simulate", cmdSimulate,
+     "catalog catalog-file topology topology-file nodes policy "
+     "mtbf r rs sup-mtbf hours hosts seed rediscovery-min "
+     "replications threads attribution"},
+    {"export", cmdExport,
+     "catalog catalog-file topology topology-file nodes"},
+};
+
+/** The names in a space-separated list. */
+std::vector<std::string_view>
+words(std::string_view list)
+{
+    std::vector<std::string_view> out;
+    for (std::size_t start = 0; start < list.size();) {
+        std::size_t end = std::min(list.find(' ', start), list.size());
+        out.push_back(list.substr(start, end - start));
+        start = end + 1;
+    }
+    return out;
+}
+
+/** True when `word` is one of the names in `list`. */
+bool
+listed(std::string_view list, std::string_view word)
+{
+    return std::ranges::count(words(list), word) > 0;
+}
+
 void
 printUsage()
 {
@@ -734,7 +772,7 @@ printUsage()
         "  simulate    behavioral discrete-event simulation\n"
         "  export      write a built-in catalog/topology as JSON\n"
         "\n"
-        "common options:\n"
+        "options:\n"
         "  --catalog opencontrail|raft|fragile   built-in catalog\n"
         "  --catalog-file FILE                   catalog JSON\n"
         "  --topology small|medium|large         reference topology\n"
@@ -762,10 +800,6 @@ printUsage()
         "\n"
         "rank options:\n"
         "  --top N            rows to print (default 10)\n"
-        "  --bdd-reorder      sift the compiled BDD before ranking\n"
-        "                     (see README, \"BDD engine\"); values\n"
-        "                     agree to ~1e-12 and the diagram may\n"
-        "                     shrink; near-tied ranks may swap\n"
         "\n"
         "figures options:\n"
         "  --points N         sweep points per figure (default 21)\n"
@@ -789,7 +823,57 @@ printUsage()
         "  sdnav_cli simulate --replications 8 --threads 4\n"
         "  sdnav_cli rank --plane dp --top 5\n"
         "  sdnav_cli export catalog my.json --catalog raft\n"
-        "  sdnav_cli analyze --catalog-file my.json --topology large\n";
+        "  sdnav_cli analyze --catalog-file my.json --topology large\n"
+        "\n"
+        "options each command accepts (any other is an error):\n";
+    for (const Command &command : kCommands) {
+        std::string line = "  " + std::string(command.name);
+        line.resize(12, ' ');
+        for (std::string_view list : {command.options, kCommonOptions}) {
+            for (std::string_view option : words(list)) {
+                if (line.size() + option.size() + 3 > 72) {
+                    std::cout << line << "\n";
+                    line = std::string(12, ' ');
+                }
+                line += " --";
+                line += option;
+            }
+        }
+        std::cout << line << "\n";
+    }
+}
+
+/**
+ * The command line after the command name, checked against the
+ * options `command` reads. An unknown option, or one without its
+ * value, throws UsageError before any work runs; a value is never
+ * taken from the next option (`--nodes --trace f` lacks a value).
+ */
+Args
+parseArgs(const Command &command, int argc, char **argv)
+{
+    Args args;
+    for (int i = 2; i < argc; ++i) {
+        std::string arg = argv[i];
+        if (arg.rfind("--", 0) != 0) {
+            args.positional.push_back(arg);
+            continue;
+        }
+        std::string key = arg.substr(2);
+        if (!listed(command.options, key) &&
+            !listed(kCommonOptions, key))
+            throw UsageError("unknown option " + arg + " for " +
+                             std::string(command.name));
+        if (listed(kFlagOptions, key)) {
+            args.options[key] = "on";
+            continue;
+        }
+        if (i + 1 >= argc ||
+            std::string_view(argv[i + 1]).starts_with("--"))
+            throw UsageError("option " + arg + " needs a value");
+        args.options[key] = argv[++i];
+    }
+    return args;
 }
 
 } // anonymous namespace
@@ -801,9 +885,23 @@ main(int argc, char **argv)
         printUsage();
         return 2;
     }
-    std::string command = argv[1];
+    std::string name = argv[1];
+    if (name == "help" || name == "--help") {
+        printUsage();
+        return 0;
+    }
+    const Command *command = nullptr;
+    for (const Command &c : kCommands) {
+        if (c.name == name)
+            command = &c;
+    }
+    if (command == nullptr) {
+        std::cerr << "unknown command: " << name << "\n";
+        printUsage();
+        return 2;
+    }
     try {
-        Args args = parseArgs(argc, argv);
+        Args args = parseArgs(*command, argc, argv);
         for (const char *key : {"metrics", "trace"}) {
             if (args.has(key) &&
                 !outputPathWritable(args.get(key, ""))) {
@@ -815,37 +913,9 @@ main(int argc, char **argv)
         }
         if (args.has("trace"))
             obs::Tracer::global().enable();
-        int rc;
-        if (command == "tables")
-            rc = cmdTables(args);
-        else if (command == "analyze")
-            rc = cmdAnalyze(args);
-        else if (command == "rank")
-            rc = cmdRank(args);
-        else if (command == "outage")
-            rc = cmdOutage(args);
-        else if (command == "transient")
-            rc = cmdTransient(args);
-        else if (command == "cutsets")
-            rc = cmdCutSets(args);
-        else if (command == "fleet")
-            rc = cmdFleet(args);
-        else if (command == "figures")
-            rc = cmdFigures(args);
-        else if (command == "simulate")
-            rc = cmdSimulate(args);
-        else if (command == "export")
-            rc = cmdExport(args);
-        else if (command == "help" || command == "--help") {
-            printUsage();
-            return 0;
-        } else {
-            std::cerr << "unknown command: " << command << "\n";
-            printUsage();
-            return 2;
-        }
+        int rc = command->run(args);
         if (rc == 0) {
-            writeMetricsFile(args, command);
+            writeMetricsFile(args, name);
             writeTraceFile(args);
         }
         return rc;

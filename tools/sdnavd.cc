@@ -67,7 +67,7 @@ printUsage()
         "                      over-budget compile gets a\n"
         "                      budget_exceeded error reply\n"
         "  --compile-node-cap N\n"
-        "                      per-query live-BDD-node cap (same\n"
+        "                      per-query BDD node cap (same\n"
         "                      reply; 0 = unlimited)\n"
         "  --trace FILE        write a Chrome trace of all request\n"
         "                      spans on shutdown\n"
