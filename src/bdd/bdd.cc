@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <utility>
@@ -98,8 +99,15 @@ BddManager::ensureVariable(unsigned index)
 void
 BddManager::rehash(SubTable &table)
 {
+    // A rehash re-chains every node of the variable, each from a
+    // random place in the arena. Small tables grow fourfold, so a
+    // variable that gathers thousands of nodes is rehashed half as
+    // often on its way there; large ones double, so their bucket
+    // arrays stay under three times their node counts.
+    ++unique_rehashes_;
     std::vector<NodeRef> old = std::move(table.buckets);
-    table.buckets.assign(old.size() * 2, 0);
+    table.buckets.assign(old.size() * (old.size() < kFourfoldBuckets ? 4 : 2),
+                         0);
     std::size_t mask = table.buckets.size() - 1;
     for (NodeRef head : old) {
         NodeRef p = head;
@@ -247,8 +255,12 @@ BddManager::growIteCache()
     std::size_t size = ite_cache_.size();
     if (size >= kMaxIteCache)
         return;
-    while (size < nodes_.size() && size < kMaxIteCache)
+    // Grow past twice the arena, so that the arena has to double
+    // at least once more before the next growth re-inserts every
+    // entry again.
+    while (size < 2 * nodes_.size() && size < kMaxIteCache)
         size *= 2;
+    ++ite_cache_growths_;
     // Carry the entries over: nodes are never freed, so every entry
     // stays valid. An entry's new slot keeps its old slot index in
     // its low bits, so no carried entry evicts another.
@@ -405,10 +417,19 @@ BddManager::atLeast(std::span<const NodeRef> fs, unsigned m)
     // reach[j] = "at least j of the functions seen so far are true".
     // Process one function at a time:
     //   reach'[j] = f ? reach[j-1] : reach[j]
-    // keeping only counts up to m.
+    // keeping only counts up to m. The threshold is symmetric in its
+    // operands, so any order gives the same node; taking them deepest
+    // top level first (constants before all) keeps the counters
+    // below each new operand, and each step walks only that operand
+    // instead of rebuilding the counters underneath it.
+    auto depth = [this](NodeRef f) {
+        return isTerminal(f) ? variable_count_ : level_of_var_[topVar(f)];
+    };
+    std::vector<NodeRef> order(fs.begin(), fs.end());
+    std::ranges::stable_sort(order, std::ranges::greater{}, depth);
     std::vector<NodeRef> reach(m + 1, falseNode);
     reach[0] = trueNode;
-    for (NodeRef f : fs) {
+    for (NodeRef f : order) {
         for (unsigned j = m; j >= 1; --j)
             reach[j] = ite(f, reach[j - 1], reach[j]);
     }
@@ -757,6 +778,8 @@ BddManager::stats() const
     s.iteCacheMisses = ite_cache_misses_;
     s.uniqueTableHits = unique_hits_;
     s.uniqueTableMisses = unique_misses_;
+    s.uniqueRehashes = unique_rehashes_;
+    s.iteCacheGrowths = ite_cache_growths_;
     s.peakNodes = nodes_.size();
     s.variables = variable_count_;
     return s;
@@ -772,6 +795,8 @@ BddManager::recordMetrics() const
     registry.counter("bdd.unique_table_hits").add(s.uniqueTableHits);
     registry.counter("bdd.unique_table_misses")
         .add(s.uniqueTableMisses);
+    registry.counter("bdd.unique_rehashes").add(s.uniqueRehashes);
+    registry.counter("bdd.ite_cache_growths").add(s.iteCacheGrowths);
     registry.counter("bdd.managers_published").add();
     registry.gauge("bdd.peak_nodes")
         .setMax(static_cast<double>(s.peakNodes));

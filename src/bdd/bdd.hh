@@ -72,6 +72,14 @@ struct BddStats
     std::uint64_t uniqueTableHits = 0;
     std::uint64_t uniqueTableMisses = 0;
 
+    /** Unique subtables grown and re-chained, summed over the
+     *  variables. */
+    std::uint64_t uniqueRehashes = 0;
+
+    /** Times the ITE computed cache grew (each re-inserts every
+     *  entry it held). */
+    std::uint64_t iteCacheGrowths = 0;
+
     /** Nodes the arena holds, terminals included. Nothing is ever
      *  freed, so this is also the build's high-water mark. */
     std::size_t peakNodes = 0;
@@ -240,6 +248,8 @@ class FrozenDiagram
 
   private:
     friend class BddManager;
+    /** Reads the arrays, for tests that pin them byte for byte. */
+    friend struct FrozenArrays;
 
     /**
      * The Shannon pass: fills value[0 .. nodeCount() + 2) children
@@ -367,7 +377,10 @@ class BddManager
     /**
      * Threshold function: true iff at least `m` of the given functions
      * are true. Built by dynamic programming over partial counts, so
-     * the inputs may be arbitrary functions (not just variables).
+     * the inputs may be arbitrary functions (not just variables). The
+     * functions are taken bottom level first, whatever their order
+     * in `fs`: the result is the same node, built with fewer
+     * intermediates.
      *
      * @param fs The functions to count.
      * @param m The required number of true functions (0 gives the
@@ -447,7 +460,7 @@ class BddManager
 
     /**
      * Release the ITE computed cache's memory: it grows with the
-     * arena, to as much as the arena itself. A caller that has
+     * arena, to as much as four times the arena. A caller that has
      * finished building calls this before freeze(), so the freeze's
      * tables do not add to the cache's footprint. Later applies
      * start over from an empty cache of the initial size.
@@ -514,7 +527,8 @@ class BddManager
     /** Extend per-variable structures up to `index`. */
     void ensureVariable(unsigned index);
 
-    /** Double a subtable's bucket array and re-chain its nodes. */
+    /** Grow a subtable's bucket array (x4 below kFourfoldBuckets
+     *  buckets, x2 from there) and re-chain its nodes. */
     void rehash(SubTable &table);
 
     /** Resolve one ite call without recursing: terminal rules, then
@@ -525,9 +539,9 @@ class BddManager
     std::size_t iteSlot(NodeRef f, NodeRef g, NodeRef h) const;
 
     /**
-     * Double the computed cache until it covers the arena (up to
-     * kMaxIteCache), re-inserting every entry into the grown table:
-     * growth itself evicts nothing.
+     * Double the computed cache until it covers twice the arena (up
+     * to kMaxIteCache), re-inserting every entry into the grown
+     * table: growth itself evicts nothing.
      */
     void growIteCache();
 
@@ -562,6 +576,8 @@ class BddManager
     std::uint64_t ite_cache_misses_ = 0;
     std::uint64_t unique_hits_ = 0;
     std::uint64_t unique_misses_ = 0;
+    std::uint64_t unique_rehashes_ = 0;
+    std::uint64_t ite_cache_growths_ = 0;
 
     /** ite() loop iterations between wall-deadline checks. */
     static constexpr std::uint32_t kBudgetCheckInterval = 1024;
@@ -569,6 +585,7 @@ class BddManager
     static constexpr std::size_t kInitialIteCache = 1u << 10;
     static constexpr std::size_t kMaxIteCache = 1u << 22;
     static constexpr std::size_t kInitialBuckets = 16;
+    static constexpr std::size_t kFourfoldBuckets = 1024;
 };
 
 } // namespace sdnav::bdd

@@ -235,6 +235,9 @@ compileFrozen(const RbdSystem &system, const CompileOptions &options)
     {
         obs::TraceSpan trace_span("bdd.compile");
         root = system.compile(manager);
+        const bdd::BddStats stats = manager.stats();
+        trace_span.arg("peak_nodes", stats.peakNodes);
+        trace_span.arg("ite_misses", stats.iteCacheMisses);
     }
     manager.clearStepBudget();
     // The build phase is over: the cache/table stats are final, and

@@ -7,6 +7,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -15,9 +16,11 @@
 #include "bdd/bdd.hh"
 #include "common/error.hh"
 #include "common/json.hh"
+#include "obs/obs.hh"
 #include "obs/trace.hh"
 #include "prob/combinatorics.hh"
 #include "prob/rng.hh"
+#include "support/frozenArrays.hh"
 #include "support/referenceProbability.hh"
 
 namespace
@@ -492,7 +495,8 @@ TEST(Bdd, ComputedCacheKeepsItsEntriesWhenItGrows)
     // A large build that writes no cache entries of its own (var()
     // only hash-conses), so nothing it does can evict the ones above.
     // It leaves the arena far larger than the 1,024-entry cache, and
-    // the next apply doubles the cache five times before its lookup.
+    // the next apply grows the cache past twice the arena, doubling
+    // it six times, before its lookup.
     for (unsigned i = 3; i < 20000; ++i)
         m.var(i);
     ASSERT_GT(m.totalNodes(), 16u * 1024u);
@@ -500,6 +504,90 @@ TEST(Bdd, ComputedCacheKeepsItsEntriesWhenItGrows)
     // The repeat is answered from the grown cache: no new misses.
     EXPECT_EQ(m.andOp(m.var(0), m.orOp(m.var(1), m.var(2))), f);
     EXPECT_EQ(m.stats().iteCacheMisses, misses);
+}
+
+TEST(Bdd, ComputedCacheGrowsPastTwiceTheArena)
+{
+    // At 20,000 nodes the first growth takes the cache from 1,024 to
+    // 65,536 entries. An arena of 40,000 nodes still fits under that,
+    // so the second apply finds the cache large enough.
+    BddManager m;
+    for (unsigned i = 0; i < 20000; ++i)
+        m.var(i);
+    m.andOp(m.var(0), m.var(1));
+    EXPECT_EQ(m.stats().iteCacheGrowths, 1u);
+    for (unsigned i = 20000; i < 40000; ++i)
+        m.var(i);
+    m.andOp(m.var(2), m.var(3));
+    EXPECT_EQ(m.stats().iteCacheGrowths, 1u);
+    m.releaseIteCache();
+    m.andOp(m.var(4), m.var(5));
+    EXPECT_EQ(m.stats().iteCacheGrowths, 2u);
+}
+
+TEST(Bdd, UniqueSubtableStaysCanonicalAsItGrows)
+{
+    // x0 ? xi : xj for every ordered pair of 40 distinct variables
+    // puts 1,560 nodes, plus the projections x0 and !x0, in variable
+    // 0's subtable: it grows 16 -> 64 -> 256 -> 1,024 buckets four
+    // times at a step, then 2,048 -> 4,096 twice at a step. The
+    // projections of variables 1-40 sit alone in theirs.
+    constexpr unsigned kVars = 41;
+    BddManager m;
+    const NodeRef x0 = m.var(0);
+    const NodeRef not_x0 = m.nvar(0);
+    std::vector<std::vector<NodeRef>> made(kVars,
+                                           std::vector<NodeRef>(kVars));
+    for (unsigned i = 1; i < kVars; ++i) {
+        for (unsigned j = 1; j < kVars; ++j) {
+            if (i != j)
+                made[i][j] = m.ite(x0, m.var(i), m.var(j));
+        }
+    }
+    const BddStats built = m.stats();
+    EXPECT_EQ(built.uniqueRehashes, 5u);
+    EXPECT_EQ(m.totalNodes(), 2u + kVars + 1u + 40u * 39u);
+
+    // !x0 ? xj : xi is the same node, reached through a computed-cache
+    // miss: every lookup lands on the node the subtable already
+    // holds, across every growth step, and allocates nothing.
+    for (unsigned i = 1; i < kVars; ++i) {
+        for (unsigned j = 1; j < kVars; ++j) {
+            if (i != j) {
+                EXPECT_EQ(m.ite(not_x0, m.var(j), m.var(i)), made[i][j])
+                    << i << " " << j;
+            }
+        }
+    }
+    const BddStats again = m.stats();
+    EXPECT_EQ(again.uniqueTableMisses, built.uniqueTableMisses);
+    EXPECT_GT(again.iteCacheMisses, built.iteCacheMisses);
+    EXPECT_EQ(again.peakNodes, built.peakNodes);
+    EXPECT_EQ(again.uniqueRehashes, built.uniqueRehashes);
+}
+
+TEST(Bdd, RecordMetricsPublishesTheTableWork)
+{
+    sdnav::obs::Registry &registry = sdnav::obs::Registry::global();
+    sdnav::obs::Counter &rehashes =
+        registry.counter("bdd.unique_rehashes");
+    sdnav::obs::Counter &growths =
+        registry.counter("bdd.ite_cache_growths");
+    const std::uint64_t rehashes_before = rehashes.value();
+    const std::uint64_t growths_before = growths.value();
+    // 2,000 projections outgrow the first cache; a 20-of-40 counter
+    // puts about 20 nodes on each of its middle levels.
+    BddManager m;
+    std::vector<NodeRef> vars;
+    for (unsigned i = 0; i < 2000; ++i)
+        vars.push_back(m.var(i));
+    m.atLeast(std::span(vars).first(40), 20);
+    const BddStats s = m.stats();
+    ASSERT_GT(s.uniqueRehashes, 0u);
+    ASSERT_GT(s.iteCacheGrowths, 0u);
+    m.recordMetrics();
+    EXPECT_EQ(rehashes.value() - rehashes_before, s.uniqueRehashes);
+    EXPECT_EQ(growths.value() - growths_before, s.iteCacheGrowths);
 }
 
 TEST(Bdd, FrozenDiagramSkipsLevelsWithoutNodes)
@@ -797,6 +885,65 @@ TEST_P(BddRandomExpression, EveryEvaluationRouteMatchesReference)
         expectFrozenMatchesReference(m, f, probs, scratch);
     for (NodeRef f : second)
         expectFrozenMatchesReference(m, f, probs, scratch);
+}
+
+TEST_P(BddRandomExpression, AtLeastIsOneNodeInEveryOperandOrder)
+{
+    // atLeast() reorders its operands by level. Whatever order they
+    // come in, it must return the node the plain dynamic program
+    // builds taking them as given, and freeze to the same arrays.
+    // Every third seed keeps the identity order; the others lay the
+    // variables out at random.
+    const unsigned n = 10;
+    const auto seed = static_cast<std::uint64_t>(GetParam());
+    std::vector<unsigned> levels(n);
+    for (unsigned v = 0; v < n; ++v)
+        levels[v] = v;
+    sdnav::prob::Rng shuffler(seed + 1000);
+    auto shuffle = [&shuffler](auto &items) {
+        for (std::size_t i = items.size() - 1; i > 0; --i)
+            std::swap(items[i], items[shuffler.uniformInt(i + 1)]);
+    };
+    if (GetParam() % 3 != 0)
+        shuffle(levels);
+
+    // The same operands in any manager: a pool from the seed, then
+    // picks from it, constants included.
+    auto operands = [&](BddManager &m) {
+        sdnav::prob::Rng rng(seed);
+        std::vector<NodeRef> pool = randomPool(m, rng, n, 30);
+        pool.push_back(trueNode);
+        pool.push_back(falseNode);
+        std::vector<NodeRef> fs;
+        for (int k = 0; k < 9; ++k)
+            fs.push_back(pool[rng.uniformInt(pool.size())]);
+        return fs;
+    };
+    BddManager m(levels);
+    BddManager twin(levels);
+    const std::vector<NodeRef> fs = operands(m);
+    const std::vector<NodeRef> twin_fs = operands(twin);
+    for (unsigned threshold : {1u, 4u, 9u}) {
+        std::vector<NodeRef> reach(threshold + 1, falseNode);
+        reach[0] = trueNode;
+        for (NodeRef f : fs) {
+            for (unsigned j = threshold; j >= 1; --j)
+                reach[j] = m.ite(f, reach[j - 1], reach[j]);
+        }
+        const NodeRef expected = reach[threshold];
+        const FrozenDiagram frozen = m.freeze(expected);
+        for (int trial = 0; trial < 4; ++trial) {
+            std::vector<NodeRef> order = fs;
+            shuffle(order);
+            EXPECT_EQ(m.atLeast(order, threshold), expected)
+                << "threshold " << threshold << " trial " << trial;
+            std::vector<NodeRef> twin_order = twin_fs;
+            shuffle(twin_order);
+            EXPECT_TRUE(FrozenArrays::equal(
+                twin.freeze(twin.atLeast(twin_order, threshold)), frozen))
+                << "threshold " << threshold << " trial " << trial;
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BddRandomExpression,

@@ -31,12 +31,15 @@
 #include "model/exactModel.hh"
 #include "prob/rng.hh"
 #include "rbd/system.hh"
+#include "support/modelKeys.hh"
 #include "topology/deployment.hh"
 
 namespace
 {
 
 using namespace sdnav;
+using test::catalogFor;
+using test::topologyFor;
 using bdd::BddManager;
 using bdd::NodeRef;
 using model::ExactVariableOrder;
@@ -68,26 +71,6 @@ keyName(const testing::TestParamInfo<CompileKey> &info)
                 : (key.order == ExactVariableOrder::RoleMajor
                        ? "_RoleMajor"
                        : "_SharedInfrastructureFirst"));
-}
-
-fmea::ControllerCatalog
-catalogFor(const std::string &name)
-{
-    if (name == "raft")
-        return fmea::raftStyleController();
-    if (name == "fragile")
-        return fmea::fragileController();
-    return fmea::openContrail3();
-}
-
-topology::DeploymentTopology
-topologyFor(const std::string &name, std::size_t roles, std::size_t nodes)
-{
-    if (name == "small")
-        return topology::smallTopology(roles, nodes);
-    if (name == "medium")
-        return topology::mediumTopology(roles, nodes);
-    return topology::largeTopology(roles, nodes);
 }
 
 /** The reference compile: children first, then a left fold. */

@@ -18,36 +18,19 @@
 #include "bdd/bdd.hh"
 #include "fmea/openContrail.hh"
 #include "model/exactModel.hh"
+#include "support/modelKeys.hh"
 #include "topology/deployment.hh"
 
 namespace
 {
 
 using namespace sdnav;
+using test::catalogFor;
+using test::topologyFor;
 using fmea::Plane;
 using model::ExactPlaneModel;
 using model::ExactVariableOrder;
 using model::SupervisorPolicy;
-
-fmea::ControllerCatalog
-catalogFor(const std::string &name)
-{
-    if (name == "raft")
-        return fmea::raftStyleController();
-    if (name == "fragile")
-        return fmea::fragileController();
-    return fmea::openContrail3();
-}
-
-topology::DeploymentTopology
-topologyFor(const std::string &name, std::size_t roles, std::size_t nodes)
-{
-    if (name == "small")
-        return topology::smallTopology(roles, nodes);
-    if (name == "medium")
-        return topology::mediumTopology(roles, nodes);
-    return topology::largeTopology(roles, nodes);
-}
 
 constexpr ExactVariableOrder kOrders[] = {
     ExactVariableOrder::SharedInfrastructureFirst,

@@ -16,6 +16,7 @@
 
 #include "common/json.hh"
 #include "obs/trace.hh"
+#include "rbd/system.hh"
 
 namespace
 {
@@ -103,6 +104,40 @@ TEST(Tracer, SpanArgsGoOnTheEndEvent)
     EXPECT_FALSE(args.contains("dropped"));
     EXPECT_FALSE(body[2].contains("args"));
     EXPECT_FALSE(body[3].contains("args"));
+}
+
+TEST(Tracer, CompileSpanCarriesItsTableWork)
+{
+    // rbd::compileFrozen's bdd.compile span ends with the manager's
+    // peak node count and ITE computed-cache misses, the figures
+    // bdd.freeze's node counts are read beside.
+    rbd::RbdSystem system;
+    std::vector<rbd::Block> leaves;
+    for (int i = 0; i < 9; ++i)
+        leaves.push_back(rbd::component(
+            system.addComponent(std::to_string(i), 0.9)));
+    system.setRoot(rbd::kOfN(5, std::move(leaves)));
+
+    obs::Tracer &tracer = obs::Tracer::global();
+    tracer.reset();
+    tracer.enable();
+    const bdd::BddStats stats = rbd::compileFrozen(system).stats;
+    tracer.disable();
+    ASSERT_GT(stats.iteCacheMisses, 0u);
+    int found = 0;
+    for (const json::Value &event : traceBody(tracer.chromeTrace())) {
+        if (event.at("name").asString() != "bdd.compile" ||
+            event.at("ph").asString() != "E")
+            continue;
+        ++found;
+        const json::Value &args = event.at("args");
+        EXPECT_EQ(args.at("peak_nodes").asNumber(),
+                  static_cast<double>(stats.peakNodes));
+        EXPECT_EQ(args.at("ite_misses").asNumber(),
+                  static_cast<double>(stats.iteCacheMisses));
+    }
+    EXPECT_EQ(found, 1);
+    tracer.reset();
 }
 
 TEST(Tracer, RecordsSpansAndInstants)

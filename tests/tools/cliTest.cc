@@ -442,6 +442,58 @@ TEST(Cli, MalformedNumericOptionIsAUsageErrorNamingTheFlag)
     EXPECT_NE(nodes.output.find("--nodes"), std::string::npos);
 }
 
+TEST(Cli, WordOptionOutsideItsWordsIsAUsageError)
+{
+    // Each word-valued option names its words; any other value exits
+    // 2 before any work runs, instead of falling back to a default
+    // (rank --plane dq used to rank the control plane).
+    struct Case
+    {
+        const char *args;
+        const char *message;
+    };
+    const Case cases[] = {
+        {"rank --plane dq", "option --plane takes cp|dp, not 'dq'"},
+        {"transient --from sideways",
+         "option --from takes down|up, not 'sideways'"},
+        {"analyze --sensitivity yes",
+         "option --sensitivity takes on, not 'yes'"},
+        {"figures --points 3 --exact off",
+         "option --exact takes on, not 'off'"},
+        {"tables --fmea short", "option --fmea takes full, not 'short'"},
+    };
+    for (const Case &c : cases) {
+        auto result = runCli(c.args);
+        EXPECT_EQ(result.exitCode, 2) << c.args;
+        EXPECT_NE(result.output.find(c.message), std::string::npos)
+            << c.args << "\n" << result.output;
+        EXPECT_NE(result.output.find("usage:"), std::string::npos)
+            << c.args;
+        EXPECT_EQ(result.output.find("Transient availability"),
+                  std::string::npos)
+            << c.args;
+    }
+    // The usage text lists the words.
+    auto help = runCli("help");
+    for (const char *words : {"--plane cp|dp", "--from down|up",
+                              "--sensitivity on", "--exact on",
+                              "--fmea full"})
+        EXPECT_NE(help.output.find(words), std::string::npos) << words;
+}
+
+TEST(Cli, WordOptionsRunWithEachOfTheirWords)
+{
+    for (const char *args :
+         {"rank --plane cp --top 1", "rank --plane dp --top 1",
+          "transient --from down --topology small",
+          "transient --from up --topology small",
+          "tables --fmea full"}) {
+        EXPECT_EQ(runCli(args).exitCode, 0) << args;
+    }
+    auto up = runCli("transient --from up --topology small");
+    EXPECT_NE(up.output.find("from all-up"), std::string::npos);
+}
+
 TEST(Cli, OutOfRangeAvailabilityIsAUsageError)
 {
     auto result = runCli("analyze --a 1.5");

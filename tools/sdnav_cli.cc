@@ -25,6 +25,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "analysis/attribution.hh"
@@ -704,6 +705,15 @@ constexpr std::string_view kCommonOptions = "metrics trace";
 /** Options that are flags: present means "on", no value consumed. */
 constexpr std::string_view kFlagOptions = "attribution";
 
+/** Options whose value is a word, and the words each accepts. */
+constexpr std::pair<std::string_view, std::string_view> kWordOptions[] = {
+    {"plane", "cp dp"},
+    {"from", "down up"},
+    {"sensitivity", "on"},
+    {"exact", "on"},
+    {"fmea", "full"},
+};
+
 const Command kCommands[] = {
     {"tables", cmdTables, "catalog catalog-file nodes fmea"},
     {"analyze", cmdAnalyze,
@@ -798,8 +808,19 @@ printUsage()
         "                                        on; results are bit-\n"
         "                                        identical for any T\n"
         "\n"
+        "tables options:\n"
+        "  --fmea full        also print the full FMEA report\n"
+        "\n"
+        "analyze options:\n"
+        "  --sensitivity on   also print the control-plane\n"
+        "                     sensitivity table\n"
+        "\n"
         "rank options:\n"
         "  --top N            rows to print (default 10)\n"
+        "\n"
+        "transient options:\n"
+        "  --from down|up     start with every component down\n"
+        "                     (default) or up\n"
         "\n"
         "figures options:\n"
         "  --points N         sweep points per figure (default 21)\n"
@@ -871,7 +892,16 @@ parseArgs(const Command &command, int argc, char **argv)
         if (i + 1 >= argc ||
             std::string_view(argv[i + 1]).starts_with("--"))
             throw UsageError("option " + arg + " needs a value");
-        args.options[key] = argv[++i];
+        std::string value = argv[++i];
+        for (const auto &[option, accepted] : kWordOptions) {
+            if (option == key && !listed(accepted, value)) {
+                std::string choices(accepted);
+                std::ranges::replace(choices, ' ', '|');
+                throw UsageError("option " + arg + " takes " + choices +
+                                 ", not '" + value + "'");
+            }
+        }
+        args.options[key] = std::move(value);
     }
     return args;
 }
