@@ -45,13 +45,28 @@ foldPairwise(std::span<const NodeRef> fs, NodeRef unit, Op op)
 
 } // anonymous namespace
 
-BddManager::BddManager(std::span<const unsigned> levelOfVariable)
+BddManager::BddManager(std::span<const unsigned> levelOfVariable,
+                       Workspace *workspace)
+    : own_workspace_(workspace ? nullptr : std::make_unique<Workspace>()),
+      workspace_(workspace ? *workspace : *own_workspace_)
 {
+    require(!workspace_.busy_,
+            "BddManager: the workspace serves another manager");
+    workspace_.busy_ = true;
+    // Whatever an earlier manager left in the buffers is dead: the
+    // arena and the bucket pool are refilled from their starts, and
+    // the cache starts over empty.
+    workspace_.arena_.reserve(kInitialArena * sizeof(Node));
+    workspace_.buckets_.reserve(kInitialBucketPool * sizeof(NodeRef));
+    nodes_ = workspace_.arena_.as<Node>();
+    node_capacity_ = workspace_.arena_.bytes() / sizeof(Node);
+    bucket_pool_ = workspace_.buckets_.as<NodeRef>();
+    resetIteCache();
     // Reserve slots 0 and 1 for the terminals. Their contents are
     // never dereferenced; var is a sentinel beyond any real variable.
-    nodes_.push_back({std::numeric_limits<unsigned>::max(), 0, 0, 0});
-    nodes_.push_back({std::numeric_limits<unsigned>::max(), 1, 1, 0});
-    ite_cache_.assign(kInitialIteCache, IteEntry{});
+    nodes_[falseNode] = {std::numeric_limits<unsigned>::max(), 0, 0, 0};
+    nodes_[trueNode] = {std::numeric_limits<unsigned>::max(), 1, 1, 0};
+    node_count_ = 2;
     if (levelOfVariable.empty())
         return;
     ensureVariable(static_cast<unsigned>(levelOfVariable.size() - 1));
@@ -64,6 +79,11 @@ BddManager::BddManager(std::span<const unsigned> levelOfVariable)
         level_of_var_[v] = level;
         var_at_level_[level] = v;
     }
+}
+
+BddManager::~BddManager()
+{
+    workspace_.busy_ = false;
 }
 
 std::size_t
@@ -97,6 +117,39 @@ BddManager::ensureVariable(unsigned index)
 }
 
 void
+BddManager::placeBuckets(SubTable &table, std::size_t size, std::size_t keep)
+{
+    // A table that ends the pool grows in place; otherwise it takes a
+    // block of its new size that another table left behind, or the
+    // pool's end.
+    std::vector<std::size_t> &left = left_blocks_[std::countr_zero(size)];
+    std::size_t offset = bucket_top_;
+    if (table.offset + table.size == bucket_top_) {
+        offset = table.offset;
+    } else if (!left.empty()) {
+        offset = left.back();
+        left.pop_back();
+    }
+    if (offset + size > workspace_.buckets_.bytes() / sizeof(NodeRef)) {
+        workspace_.buckets_.reserve(
+            std::max(workspace_.buckets_.bytes() / 2 * 3,
+                     (offset + size) * sizeof(NodeRef)));
+        bucket_pool_ = workspace_.buckets_.as<NodeRef>();
+    }
+    NodeRef *buckets = bucket_pool_ + offset;
+    if (offset != table.offset) {
+        std::copy_n(bucket_pool_ + table.offset, keep, buckets);
+        if (table.size > 0)
+            left_blocks_[std::countr_zero(table.size)].push_back(
+                table.offset);
+    }
+    std::fill(buckets + keep, buckets + size, falseNode);
+    table.offset = offset;
+    table.size = size;
+    bucket_top_ = std::max(bucket_top_, offset + size);
+}
+
+void
 BddManager::rehash(SubTable &table)
 {
     // A rehash re-chains every node of the variable, each from a
@@ -105,21 +158,32 @@ BddManager::rehash(SubTable &table)
     // often on its way there; large ones double, so their bucket
     // arrays stay under three times their node counts.
     ++unique_rehashes_;
-    std::vector<NodeRef> old = std::move(table.buckets);
-    table.buckets.assign(old.size() * (old.size() < kFourfoldBuckets ? 4 : 2),
-                         0);
-    std::size_t mask = table.buckets.size() - 1;
-    for (NodeRef head : old) {
-        NodeRef p = head;
+    const std::size_t old_size = table.size;
+    placeBuckets(table, old_size * (old_size < kFourfoldBuckets ? 4 : 2),
+                 old_size);
+    // Split each old bucket in place: its nodes land in the buckets
+    // congruent to it modulo the old size, which only it fills.
+    NodeRef *buckets = bucket_pool_ + table.offset;
+    const std::size_t mask = table.size - 1;
+    for (std::size_t b = 0; b < old_size; ++b) {
+        NodeRef p = std::exchange(buckets[b], falseNode);
         while (p != 0) {
             NodeRef next = nodes_[p].next;
             std::size_t bucket =
                 hashChildren(nodes_[p].low, nodes_[p].high) & mask;
-            nodes_[p].next = table.buckets[bucket];
-            table.buckets[bucket] = p;
+            nodes_[p].next = buckets[bucket];
+            buckets[bucket] = p;
             p = next;
         }
     }
+}
+
+void
+BddManager::growArena()
+{
+    workspace_.arena_.reserve(node_capacity_ / 2 * 3 * sizeof(Node));
+    nodes_ = workspace_.arena_.as<Node>();
+    node_capacity_ = workspace_.arena_.bytes() / sizeof(Node);
 }
 
 void
@@ -145,7 +209,7 @@ BddManager::throwBudgetExceeded(const char *budgetName) const
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - budget_start_)
             .count();
-    throw BudgetExceeded(budgetName, nodes_.size(), elapsed_ms);
+    throw BudgetExceeded(budgetName, node_count_, elapsed_ms);
 }
 
 void
@@ -170,27 +234,29 @@ BddManager::makeNode(unsigned var, NodeRef low, NodeRef high)
     // sole allocation path): a runaway build aborts as soon as it
     // crosses the cap, long before the wall deadline would notice.
     if (budget_armed_ && budget_.nodeCap > 0 &&
-        nodes_.size() >= budget_.nodeCap)
+        node_count_ >= budget_.nodeCap)
         throwBudgetExceeded("node-cap");
     SubTable &table = subtables_[var];
-    if (table.buckets.empty())
-        table.buckets.assign(kInitialBuckets, 0);
-    std::size_t bucket =
-        hashChildren(low, high) & (table.buckets.size() - 1);
-    for (NodeRef p = table.buckets[bucket]; p != 0; p = nodes_[p].next) {
+    if (table.size == 0)
+        placeBuckets(table, kInitialBuckets, 0);
+    NodeRef *buckets = bucket_pool_ + table.offset;
+    std::size_t bucket = hashChildren(low, high) & (table.size - 1);
+    for (NodeRef p = buckets[bucket]; p != 0; p = nodes_[p].next) {
         if (nodes_[p].low == low && nodes_[p].high == high) {
             ++unique_hits_;
             return p;
         }
     }
     ++unique_misses_;
-    require(nodes_.size() < std::numeric_limits<NodeRef>::max(),
+    require(node_count_ < std::numeric_limits<NodeRef>::max(),
             "BDD node capacity exhausted");
-    const auto ref = static_cast<NodeRef>(nodes_.size());
-    nodes_.push_back({var, low, high, table.buckets[bucket]});
-    table.buckets[bucket] = ref;
+    if (node_count_ == node_capacity_)
+        growArena();
+    const auto ref = static_cast<NodeRef>(node_count_++);
+    nodes_[ref] = {var, low, high, buckets[bucket]};
+    buckets[bucket] = ref;
     ++table.count;
-    if (table.count * 4 > table.buckets.size() * 3)
+    if (table.count * 4 > table.size * 3)
         rehash(table);
     return ref;
 }
@@ -246,36 +312,49 @@ BddManager::iteSlot(NodeRef f, NodeRef g, NodeRef h) const
     key = key * 0x9e3779b97f4a7c15ULL + g;
     key = key * 0x9e3779b97f4a7c15ULL + h;
     key ^= key >> 32;
-    return static_cast<std::size_t>(key) & (ite_cache_.size() - 1);
+    return static_cast<std::size_t>(key) & (ite_size_ - 1);
 }
 
 void
 BddManager::growIteCache()
 {
-    std::size_t size = ite_cache_.size();
-    if (size >= kMaxIteCache)
+    const std::size_t old_size = ite_size_;
+    if (old_size >= kMaxIteCache)
         return;
     // Grow past twice the arena, so that the arena has to double
     // at least once more before the next growth re-inserts every
     // entry again.
-    while (size < 2 * nodes_.size() && size < kMaxIteCache)
+    std::size_t size = old_size;
+    while (size < 2 * node_count_ && size < kMaxIteCache)
         size *= 2;
     ++ite_cache_growths_;
-    // Carry the entries over: nodes are never freed, so every entry
-    // stays valid. An entry's new slot keeps its old slot index in
-    // its low bits, so no carried entry evicts another.
-    std::vector<IteEntry> old =
-        std::exchange(ite_cache_, std::vector<IteEntry>(size));
-    for (const IteEntry &entry : old) {
-        if (entry.f != 0)
-            ite_cache_[iteSlot(entry.f, entry.g, entry.h)] = entry;
+    workspace_.cache_.reserve(size * sizeof(IteEntry));
+    ite_cache_ = workspace_.cache_.as<IteEntry>();
+    std::fill(ite_cache_ + old_size, ite_cache_ + size, IteEntry{});
+    ite_size_ = size;
+    // Carry the entries over in place: nodes are never freed, so
+    // every entry stays valid. An entry's new slot keeps its old slot
+    // index in its low bits, so it either stays or moves into the
+    // grown part, where no other carried entry lands.
+    for (std::size_t i = 0; i < old_size; ++i) {
+        const IteEntry entry = ite_cache_[i];
+        if (entry.f == 0)
+            continue;
+        const std::size_t slot = iteSlot(entry.f, entry.g, entry.h);
+        if (slot != i) {
+            ite_cache_[slot] = entry;
+            ite_cache_[i] = IteEntry{};
+        }
     }
 }
 
 void
-BddManager::releaseIteCache()
+BddManager::resetIteCache()
 {
-    ite_cache_ = std::vector<IteEntry>(kInitialIteCache);
+    workspace_.cache_.reserve(kInitialIteCache * sizeof(IteEntry));
+    ite_cache_ = workspace_.cache_.as<IteEntry>();
+    ite_size_ = kInitialIteCache;
+    std::fill(ite_cache_, ite_cache_ + ite_size_, IteEntry{});
 }
 
 NodeRef
@@ -283,7 +362,7 @@ BddManager::ite(NodeRef f, NodeRef g, NodeRef h)
 {
     if (budget_armed_)
         checkWallBudget();
-    if (nodes_.size() > ite_cache_.size())
+    if (node_count_ > ite_size_)
         growIteCache();
 
     NodeRef result = falseNode;
@@ -355,7 +434,7 @@ BddManager::ite(NodeRef f, NodeRef g, NodeRef h)
             // the cache it entered with; a cache much smaller than
             // the table turns the lossy memoization into exponential
             // recomputation, so it grows mid-operation too.
-            if (nodes_.size() > ite_cache_.size())
+            if (node_count_ > ite_size_)
                 growIteCache();
             ite_cache_[iteSlot(frame.f, frame.g, frame.h)] = {
                 frame.f, frame.g, frame.h, result};
@@ -450,17 +529,32 @@ namespace
 class FoldTable
 {
   public:
+    /** slot 0, the false terminal's, marks an empty entry. */
+    struct Entry
+    {
+        std::uint32_t slot, tag;
+    };
+
+    /** Entries a table for `nodes` numbered nodes takes. */
+    static std::size_t
+    entriesFor(std::size_t nodes)
+    {
+        return std::bit_ceil(nodes + nodes / 2 + 2);
+    }
+
     /**
+     * @param entries entriesFor(nodes) entries, emptied here.
+     * @param classes Room for the class of each of `nodes` nodes.
      * @param low, high The numbered nodes' children: storage reserved
      *        for `nodes` entries, so appending never moves it.
      */
-    FoldTable(std::size_t nodes, const std::uint32_t *low,
-              const std::uint32_t *high)
-        : entries_(std::bit_ceil(nodes + nodes / 2 + 2)),
-          shift_(64 - std::countr_zero(entries_.size())), low_(low),
-          high_(high)
+    FoldTable(std::span<Entry> entries, std::uint32_t *classes,
+              const std::uint32_t *low, const std::uint32_t *high)
+        : entries_(entries),
+          shift_(64 - std::countr_zero(entries.size())),
+          classes_(classes), low_(low), high_(high)
     {
-        classes_.reserve(nodes);
+        std::ranges::fill(entries_, Entry{});
     }
 
     static std::uint64_t
@@ -493,7 +587,7 @@ class FoldTable
             Entry &entry = entries_[i];
             if (entry.slot == 0) {
                 entry = {fresh, tag};
-                classes_.push_back(cls);
+                classes_[fresh - 2] = cls;
                 return fresh;
             }
             const std::uint32_t k = entry.slot - 2;
@@ -504,33 +598,33 @@ class FoldTable
     }
 
   private:
-    /** slot 0, the false terminal's, marks an empty entry. */
-    struct Entry
-    {
-        std::uint32_t slot, tag;
-    };
-
     std::size_t
     home(std::uint64_t hash) const
     {
         return static_cast<std::size_t>(hash >> shift_);
     }
 
-    // PageVector: a large table is mapped fresh (and huge-page
-    // eligible) instead of being carved from the heap page by page.
-    PageVector<Entry> entries_;
+    std::span<Entry> entries_;
     int shift_;
-    const std::uint32_t *low_;
-    const std::uint32_t *high_;
 
     /** Class of each numbered node. */
-    std::vector<std::uint32_t> classes_;
+    std::uint32_t *classes_;
+    const std::uint32_t *low_;
+    const std::uint32_t *high_;
 };
+
+/** The array at byte `offset` of a buffer. */
+template <class T>
+T *
+carved(PageBuffer &buffer, std::size_t offset)
+{
+    return reinterpret_cast<T *>(buffer.as<std::byte>() + offset);
+}
 
 } // anonymous namespace
 
 FrozenDiagram
-BddManager::freeze(NodeRef f, std::span<const unsigned> classOfVariable) const
+BddManager::freeze(NodeRef f, std::span<const unsigned> classOfVariable)
 {
     obs::TraceSpan trace_span("bdd.freeze");
     require(classOfVariable.empty() ||
@@ -541,25 +635,43 @@ BddManager::freeze(NodeRef f, std::span<const unsigned> classOfVariable) const
     // The loops below prefetch this far ahead of the random reads
     // they are about to make.
     constexpr std::size_t ahead = 16;
-    std::vector<std::uint32_t> slot(nodes_.size(), unvisited);
+
+    // The tables below take the computed cache's memory, laid out one
+    // after another: the cache's entries are dead once the build is
+    // over, and it starts over empty when the freeze is done. The
+    // cache holds 16 bytes per arena node or more, which the ref map
+    // and the breadth-first queue take; the sort and the fold table,
+    // sized to the reachable nodes, may grow the buffer past it.
+    PageBuffer &scratch = workspace_.cache_;
+    std::size_t used = 0;
+    auto carve = [&used](std::size_t bytes) {
+        const std::size_t at = used;
+        used += (bytes + 63) / 64 * 64;
+        return at;
+    };
+    const std::size_t slot_at = carve(node_count_ * sizeof(std::uint32_t));
+    const std::size_t refs_at = carve(node_count_ * sizeof(NodeRef));
+    scratch.reserve(used);
+    auto *slot = carved<std::uint32_t>(scratch, slot_at);
+    auto *refs = carved<NodeRef>(scratch, refs_at);
+    std::fill_n(slot, node_count_, unvisited);
     slot[falseNode] = 0;
     slot[trueNode] = 1;
 
     // Find the reachable nodes, breadth first. Until the numbering
     // below, an expanded node's map entry holds its level, and
     // level_start[] counts the nodes per level.
-    std::vector<NodeRef> refs;
-    refs.reserve(nodes_.size());
+    std::size_t n = 0;
     std::vector<std::uint32_t> level_start(variable_count_, 0);
     auto find = [&](NodeRef ref) {
         if (slot[ref] == unvisited) {
-            refs.push_back(ref);
+            refs[n++] = ref;
             slot[ref] = 0;
         }
     };
     find(f);
-    for (std::size_t i = 0; i < refs.size(); ++i) {
-        if (i + ahead < refs.size())
+    for (std::size_t i = 0; i < n; ++i) {
+        if (i + ahead < n)
             __builtin_prefetch(&nodes_[refs[i + ahead]]);
         const Node &node = nodes_[refs[i]];
         unsigned level = level_of_var_[node.var];
@@ -574,13 +686,31 @@ BddManager::freeze(NodeRef f, std::span<const unsigned> classOfVariable) const
     // first. Level-major order also keeps each node's children close
     // together in memory, which the evaluation loop reads.
     std::uint32_t next = 0;
+    std::size_t widest = 0;
     for (std::size_t level = variable_count_; level-- > 0;) {
         std::uint32_t count = level_start[level];
+        widest = std::max<std::size_t>(widest, count);
         level_start[level] = next;
         next += count;
     }
-    const std::size_t n = refs.size();
-    std::vector<NodeRef> order(n);
+    // The queue holds n refs; the sorted order and the numbering's
+    // tables follow them.
+    used = refs_at;
+    carve(n * sizeof(NodeRef));
+    const std::size_t order_at = carve(n * sizeof(NodeRef));
+    const std::size_t key_low_at = carve(widest * sizeof(std::uint32_t));
+    const std::size_t key_high_at = carve(widest * sizeof(std::uint32_t));
+    const std::size_t key_hash_at = carve(widest * sizeof(std::uint64_t));
+    const std::size_t entries =
+        classOfVariable.empty() ? 0 : FoldTable::entriesFor(n);
+    const std::size_t entries_at =
+        carve(entries * sizeof(FoldTable::Entry));
+    const std::size_t classes_at =
+        carve(entries > 0 ? n * sizeof(std::uint32_t) : 0);
+    scratch.reserve(used);
+    slot = carved<std::uint32_t>(scratch, slot_at);
+    refs = carved<NodeRef>(scratch, refs_at);
+    auto *order = carved<NodeRef>(scratch, order_at);
     for (std::size_t i = 0; i < n; ++i) {
         if (i + ahead < n)
             __builtin_prefetch(&slot[refs[i + ahead]]);
@@ -599,19 +729,21 @@ BddManager::freeze(NodeRef f, std::span<const unsigned> classOfVariable) const
     out.low_.reserve(n);
     out.high_.reserve(n);
     std::optional<FoldTable> table;
-    if (!classOfVariable.empty())
-        table.emplace(n, out.low_.data(), out.high_.data());
-    std::vector<std::uint32_t> key_low, key_high;
-    std::vector<std::uint64_t> key_hash;
+    if (entries > 0) {
+        table.emplace(
+            std::span(carved<FoldTable::Entry>(scratch, entries_at), entries),
+            carved<std::uint32_t>(scratch, classes_at), out.low_.data(),
+            out.high_.data());
+    }
+    auto *key_low = carved<std::uint32_t>(scratch, key_low_at);
+    auto *key_high = carved<std::uint32_t>(scratch, key_high_at);
+    auto *key_hash = carved<std::uint64_t>(scratch, key_hash_at);
     std::size_t first = 0;
     for (std::size_t level = variable_count_; level-- > 0;) {
         const unsigned v = var_at_level_[level];
         const std::uint32_t cls =
             classOfVariable.empty() ? v : classOfVariable[v];
         const std::size_t width = level_start[level] - first;
-        key_low.resize(width);
-        key_high.resize(width);
-        key_hash.resize(width);
         for (std::size_t i = 0; i < width; ++i) {
             const Node &node = nodes_[order[first + i]];
             key_low[i] = slot[node.low];
@@ -651,6 +783,7 @@ BddManager::freeze(NodeRef f, std::span<const unsigned> classOfVariable) const
         out.classBound_ = std::max<std::size_t>(out.classBound_, cls + 1u);
     }
     out.root_ = slot[f];
+    resetIteCache();
     trace_span.arg("bdd_nodes", n);
     trace_span.arg("eval_nodes", out.low_.size());
     return out;
@@ -744,7 +877,7 @@ BddManager::evaluate(NodeRef f, const std::vector<bool> &assignment) const
 std::size_t
 BddManager::nodeCount(NodeRef f) const
 {
-    std::vector<std::uint8_t> seen(nodes_.size(), 0);
+    std::vector<std::uint8_t> seen(node_count_, 0);
     seen[falseNode] = 1;
     seen[trueNode] = 1;
     std::size_t count = 0;
@@ -780,7 +913,7 @@ BddManager::stats() const
     s.uniqueTableMisses = unique_misses_;
     s.uniqueRehashes = unique_rehashes_;
     s.iteCacheGrowths = ite_cache_growths_;
-    s.peakNodes = nodes_.size();
+    s.peakNodes = node_count_;
     s.variables = variable_count_;
     return s;
 }
@@ -805,7 +938,7 @@ BddManager::recordMetrics() const
 unsigned
 BddManager::nodeVariable(NodeRef f) const
 {
-    require(!terminal(f) && f < nodes_.size(),
+    require(!terminal(f) && f < node_count_,
             "nodeVariable() needs a non-terminal node");
     return nodes_[f].var;
 }
@@ -813,7 +946,7 @@ BddManager::nodeVariable(NodeRef f) const
 NodeRef
 BddManager::nodeLow(NodeRef f) const
 {
-    require(!terminal(f) && f < nodes_.size(),
+    require(!terminal(f) && f < node_count_,
             "nodeLow() needs a non-terminal node");
     return nodes_[f].low;
 }
@@ -821,7 +954,7 @@ BddManager::nodeLow(NodeRef f) const
 NodeRef
 BddManager::nodeHigh(NodeRef f) const
 {
-    require(!terminal(f) && f < nodes_.size(),
+    require(!terminal(f) && f < node_count_,
             "nodeHigh() needs a non-terminal node");
     return nodes_[f].high;
 }

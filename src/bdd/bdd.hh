@@ -11,11 +11,14 @@
  * the function being true under independent per-variable probabilities
  * is then a single linear-time traversal (Shannon decomposition).
  *
- * The engine stores nodes in an arena (one contiguous vector) with
+ * The engine stores nodes in an arena (one contiguous array) with
  * per-variable unique subtables chained through the nodes themselves,
  * so hash-consing allocates nothing beyond the arena. The arena only
  * grows: a manager builds one structure function, is frozen and is
- * dropped, so it never reclaims a node. On top of that it provides:
+ * dropped, so it never reclaims a node. The arena, the tables and
+ * freeze()'s scratch live in a Workspace, which outlives the manager
+ * when the caller lends one, so that a server compiling model after
+ * model keeps their pages. On top of that it provides:
  *
  *  - ITE-based apply with a lossy direct-mapped computed cache that
  *    keeps its entries when it grows with the arena, balanced
@@ -37,9 +40,11 @@
 #ifndef SDNAV_BDD_BDD_HH
 #define SDNAV_BDD_BDD_HH
 
+#include <array>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -318,6 +323,46 @@ class ProbabilityScratch
 };
 
 /**
+ * The memory a BddManager builds in: the node arena, the unique
+ * subtables' buckets and the ITE computed cache, whose memory
+ * freeze() then borrows for its own tables. The buffers stay mapped
+ * and keep their pages when the manager is dropped, so the next
+ * manager lent the workspace builds in warm memory. A workspace holds
+ * what the largest build it served touched at once, and no more: one
+ * arena, one bucket pool, one cache.
+ *
+ * One manager at a time may use a workspace; the manager starts from
+ * a clean state whatever an earlier one (finished or aborted by its
+ * budget) left behind, so a build's diagram and its BddStats are the
+ * same in a fresh workspace and in a reused one. A workspace may pass
+ * between threads with the usual synchronisation.
+ */
+class Workspace
+{
+  public:
+    Workspace() = default;
+    Workspace(const Workspace &) = delete;
+    Workspace &operator=(const Workspace &) = delete;
+
+    /** Bytes the buffers hold mapped. */
+    std::size_t
+    bytes() const
+    {
+        return arena_.bytes() + buckets_.bytes() + cache_.bytes();
+    }
+
+  private:
+    friend class BddManager;
+
+    PageBuffer arena_;
+    PageBuffer buckets_;
+    PageBuffer cache_;
+
+    /** True while a manager builds in the workspace. */
+    bool busy_ = false;
+};
+
+/**
  * Owns all BDD nodes and implements the BDD algebra.
  *
  * Nodes are hash-consed: structurally equal functions share a single
@@ -335,8 +380,18 @@ class BddManager
      * permutation of 0 .. size - 1; empty (the default) is the
      * identity order. Variables past the permutation enter at the
      * bottom level, as in an identity-ordered manager.
+     *
+     * @param workspace Where to build; it must outlive the manager
+     *        and serve no other manager meanwhile. Null gives the
+     *        manager a workspace of its own, dropped with it.
      */
-    explicit BddManager(std::span<const unsigned> levelOfVariable = {});
+    explicit BddManager(std::span<const unsigned> levelOfVariable = {},
+                        Workspace *workspace = nullptr);
+
+    ~BddManager();
+
+    BddManager(const BddManager &) = delete;
+    BddManager &operator=(const BddManager &) = delete;
 
     /** The projection function for variable `index` (x_index). */
     NodeRef var(unsigned index);
@@ -393,7 +448,9 @@ class BddManager
      * Export the nodes reachable from f as an immutable diagram, the
      * one evaluator of f's probability. Cost: a breadth-first pass
      * over the reachable nodes, a counting sort of them by level, and
-     * a ref-to-slot map sized to the arena.
+     * a ref-to-slot map sized to the arena. Its tables take the
+     * computed cache's memory, so it leaves the cache empty: applies
+     * after it start over from a cache of the initial size.
      *
      * @param classOfVariable The diagram's inputs: variable v is
      *        evaluated with the probability of input
@@ -404,9 +461,8 @@ class BddManager
      *        variable its own class: nothing folds, and the inputs
      *        are the variables.
      */
-    FrozenDiagram
-    freeze(NodeRef f,
-           std::span<const unsigned> classOfVariable = {}) const;
+    FrozenDiagram freeze(NodeRef f,
+                         std::span<const unsigned> classOfVariable = {});
 
     /** Evaluate the function on a concrete assignment. */
     bool evaluate(NodeRef f, const std::vector<bool> &assignment) const;
@@ -431,7 +487,7 @@ class BddManager
     NodeRef nodeHigh(NodeRef f) const;
 
     /** Nodes allocated, terminals included. */
-    std::size_t totalNodes() const { return nodes_.size(); }
+    std::size_t totalNodes() const { return node_count_; }
 
     /** Highest variable index created so far, plus one. */
     unsigned variableCount() const { return variable_count_; }
@@ -458,15 +514,6 @@ class BddManager
     /** True while a budget with at least one limit is armed. */
     bool budgetArmed() const { return budget_armed_; }
 
-    /**
-     * Release the ITE computed cache's memory: it grows with the
-     * arena, to as much as four times the arena. A caller that has
-     * finished building calls this before freeze(), so the freeze's
-     * tables do not add to the cache's footprint. Later applies
-     * start over from an empty cache of the initial size.
-     */
-    void releaseIteCache();
-
     /** Lifetime engine statistics (cache behaviour, table sizes). */
     BddStats stats() const;
 
@@ -490,10 +537,12 @@ class BddManager
     };
 
     /** One variable's slice of the unique table: power-of-two open
-     *  hash buckets chained through Node::next. */
+     *  hash buckets chained through Node::next, the `size` entries
+     *  from `offset` of the workspace's bucket pool. */
     struct SubTable
     {
-        std::vector<NodeRef> buckets;
+        std::size_t offset = 0;
+        std::size_t size = 0;
         std::size_t count = 0;
     };
 
@@ -531,6 +580,20 @@ class BddManager
      *  buckets, x2 from there) and re-chain its nodes. */
     void rehash(SubTable &table);
 
+    /**
+     * Give a table `size` buckets from the pool, the first `keep` of
+     * them its current ones and the rest empty: in place when it
+     * ends the pool, else at the pool's end (the old block stays
+     * unused until the pool is reset for the next manager).
+     */
+    void placeBuckets(SubTable &table, std::size_t size, std::size_t keep);
+
+    /** Double the arena's capacity. */
+    void growArena();
+
+    /** Start the computed cache over: kInitialIteCache empty entries. */
+    void resetIteCache();
+
     /** Resolve one ite call without recursing: terminal rules, then
      *  the computed cache. True when `out` holds the result. */
     bool iteShortcut(NodeRef f, NodeRef g, NodeRef h, NodeRef &out);
@@ -553,12 +616,27 @@ class BddManager
 
     bool isTerminal(NodeRef f) const { return f <= trueNode; }
 
-    // PageVector: the arena is the eval/apply hot path's working
-    // set; fresh pages keep its layout independent of heap history.
-    PageVector<Node> nodes_;
+    /** The workspace made for a caller that lent none. */
+    std::unique_ptr<Workspace> own_workspace_;
+    Workspace &workspace_;
+
+    // Views of the workspace's buffers, taken again when one grows:
+    // the arena's first node_count_ nodes, the bucket pool's first
+    // bucket_top_ entries and a computed cache of ite_size_ entries.
+    Node *nodes_ = nullptr;
+    std::size_t node_count_ = 0;
+    std::size_t node_capacity_ = 0;
+    NodeRef *bucket_pool_ = nullptr;
+    std::size_t bucket_top_ = 0;
+    IteEntry *ite_cache_ = nullptr;
+    std::size_t ite_size_ = 0;
+
     std::vector<SubTable> subtables_;
-    std::vector<IteEntry> ite_cache_;
     std::vector<IteFrame> ite_frames_;
+
+    /** Pool offsets of the bucket blocks grown tables left behind,
+     *  by log2 of their size. */
+    std::array<std::vector<std::size_t>, 64> left_blocks_;
 
     /** Level permutation: the constructor's (identity by default). */
     std::vector<unsigned> level_of_var_;
@@ -582,6 +660,8 @@ class BddManager
     /** ite() loop iterations between wall-deadline checks. */
     static constexpr std::uint32_t kBudgetCheckInterval = 1024;
 
+    static constexpr std::size_t kInitialArena = 1u << 12;
+    static constexpr std::size_t kInitialBucketPool = 1u << 12;
     static constexpr std::size_t kInitialIteCache = 1u << 10;
     static constexpr std::size_t kMaxIteCache = 1u << 22;
     static constexpr std::size_t kInitialBuckets = 16;

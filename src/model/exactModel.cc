@@ -428,7 +428,7 @@ ExactPlaneModel::ExactPlaneModel(const fmea::ControllerCatalog &catalog,
                                              SwParams{}, plane, &classes);
     rbd::CompileOptions compile{
         exactVariableLevels(catalog, topo, policy, plane, options.order),
-        {}, options.budget};
+        {}, options.budget, options.workspace};
     compile.classes.reserve(classes.size());
     for (ExactComponentClass cls : classes)
         compile.classes.push_back(static_cast<unsigned>(cls));

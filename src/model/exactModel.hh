@@ -168,8 +168,9 @@ double exactPlaneAvailability(const fmea::ControllerCatalog &catalog,
  * probabilities change between sweep points. This class does the
  * expensive work once per (catalog, topology, policy, plane): it
  * compiles the structure function, freezes the root into a
- * bdd::FrozenDiagram and drops the compile's manager (arena, unique
- * tables, ITE cache). Each sweep point or query is then one forward
+ * bdd::FrozenDiagram and drops the compile's manager (its arena,
+ * unique tables and ITE cache stay in a lent workspace). Each sweep
+ * point or query is then one forward
  * pass over the frozen nodes only.
  *
  * Every component of one class takes the same SwParams value, so the
@@ -202,6 +203,10 @@ class ExactPlaneModel
          * unlimited.
          */
         bdd::StepBudget budget{};
+
+        /** Workspace forwarded to rbd::compileFrozen(); null builds
+         *  in one of the compile's own. */
+        bdd::Workspace *workspace = nullptr;
     };
 
     ExactPlaneModel(const fmea::ControllerCatalog &catalog,

@@ -226,7 +226,7 @@ RbdSystem::availabilityMonteCarlo(std::size_t samples,
 FrozenRbd
 compileFrozen(const RbdSystem &system, const CompileOptions &options)
 {
-    bdd::BddManager manager(options.levels);
+    bdd::BddManager manager(options.levels, options.workspace);
     // Arm the budget before the build so its clock covers the whole
     // compile.
     if (options.budget.limited())
@@ -241,9 +241,8 @@ compileFrozen(const RbdSystem &system, const CompileOptions &options)
     }
     manager.clearStepBudget();
     // The build phase is over: the cache/table stats are final, and
-    // the computed cache is dead weight.
+    // freeze() reuses the dead computed cache's memory.
     manager.recordMetrics();
-    manager.releaseIteCache();
     return {manager.freeze(root, options.classes), manager.stats()};
 }
 

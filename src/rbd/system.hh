@@ -228,6 +228,14 @@ struct CompileOptions
      * fields (the default) are unlimited.
      */
     bdd::StepBudget budget{};
+
+    /**
+     * Where the build runs (see bdd::Workspace): a caller compiling
+     * many systems lends one so that each build reuses the last one's
+     * pages. Null builds in a workspace made for this compile and
+     * dropped with it.
+     */
+    bdd::Workspace *workspace = nullptr;
 };
 
 /** A compiled structure function and the cost of compiling it. */
@@ -247,8 +255,9 @@ struct FrozenRbd
  *
  * The structure function depends only on the topology, not on the
  * availabilities, so sweeps compile once and evaluate per point. The
- * build manager (arena, unique tables, ITE cache) is released on
- * return, after publishing its stats to the obs registry. The diagram
+ * build manager is dropped on return, after publishing its stats to
+ * the obs registry; its arena and tables stay in the workspace when
+ * the caller lent one, and are released otherwise. The diagram
  * is immutable: it can serve evaluation from many threads at once,
  * each passing its own bdd::ProbabilityScratch.
  */

@@ -37,6 +37,14 @@ evictionCounter()
     return c;
 }
 
+obs::Gauge &
+workspaceBytesGauge()
+{
+    static obs::Gauge &g =
+        obs::Registry::global().gauge("server.compile_workspace_bytes");
+    return g;
+}
+
 obs::Timer &
 compileTimer()
 {
@@ -52,7 +60,8 @@ compileTimer()
  * and shape differ.
  */
 std::shared_ptr<const model::ExactPlaneModel>
-compileModel(const QuerySpec &spec, const bdd::StepBudget &budget)
+compileModel(const QuerySpec &spec, const bdd::StepBudget &budget,
+             bdd::Workspace &workspace)
 {
     fmea::ControllerCatalog catalog = resolveCatalog(spec);
     topology::DeploymentTopology topo =
@@ -61,6 +70,7 @@ compileModel(const QuerySpec &spec, const bdd::StepBudget &budget)
     options.order =
         model::chooseVariableOrder(catalog, topo, spec.policy, spec.plane);
     options.budget = budget;
+    options.workspace = &workspace;
     return std::make_shared<const model::ExactPlaneModel>(
         catalog, topo, spec.policy, spec.plane, options);
 }
@@ -82,26 +92,54 @@ elapsedMs(std::chrono::steady_clock::time_point since)
         .count();
 }
 
-/** Holds one compile slot for its scope, on return and throw alike. */
-class CompileSlot
+} // anonymous namespace
+
+/**
+ * Holds one compile slot and the workspace it lends for its scope:
+ * both go back on return and throw alike.
+ */
+class ModelCache::CompileSlot
 {
   public:
-    explicit CompileSlot(std::counting_semaphore<> &slots)
-        : slots_(slots)
+    explicit CompileSlot(ModelCache &cache) : cache_(cache)
     {
-        slots_.acquire();
+        cache_.compileSlots_.acquire();
+        std::lock_guard<std::mutex> lock(cache_.mutex_);
+        if (cache_.idleWorkspaces_.empty()) {
+            workspace_ = std::make_unique<bdd::Workspace>();
+            ++cache_.workspaceCount_;
+        } else {
+            workspace_ = std::move(cache_.idleWorkspaces_.back());
+            cache_.idleWorkspaces_.pop_back();
+        }
+        bytes_ = workspace_->bytes();
     }
 
-    ~CompileSlot() { slots_.release(); }
+    ~CompileSlot()
+    {
+        {
+            // No allocation: idleWorkspaces_ has room for every slot.
+            std::lock_guard<std::mutex> lock(cache_.mutex_);
+            cache_.workspaceBytes_ += workspace_->bytes() - bytes_;
+            workspaceBytesGauge().set(
+                static_cast<double>(cache_.workspaceBytes_));
+            cache_.idleWorkspaces_.push_back(std::move(workspace_));
+        }
+        cache_.compileSlots_.release();
+    }
 
     CompileSlot(const CompileSlot &) = delete;
     CompileSlot &operator=(const CompileSlot &) = delete;
 
-  private:
-    std::counting_semaphore<> &slots_;
-};
+    bdd::Workspace &workspace() { return *workspace_; }
 
-} // anonymous namespace
+  private:
+    ModelCache &cache_;
+    std::unique_ptr<bdd::Workspace> workspace_;
+
+    /** What the workspace held when lent; it only grows. */
+    std::size_t bytes_ = 0;
+};
 
 ModelCache::ModelCache(std::size_t capacity, std::size_t compileSlots)
     : capacity_(capacity),
@@ -109,6 +147,7 @@ ModelCache::ModelCache(std::size_t capacity, std::size_t compileSlots)
           static_cast<std::ptrdiff_t>(resolveThreads(compileSlots)))
 {
     require(capacity >= 1, "model cache capacity must be >= 1");
+    idleWorkspaces_.reserve(resolveThreads(compileSlots));
 }
 
 void
@@ -194,13 +233,13 @@ ModelCache::acquire(const QuerySpec &spec)
     std::uint64_t compileFaults = 0;
     try {
         auto t0 = std::chrono::steady_clock::now();
-        CompileSlot slot(compileSlots_);
+        CompileSlot slot(*this);
         slotWaitMs = elapsedMs(t0);
         // The budget's wall clock starts inside compileModel(), so
         // time spent waiting for the slot is not charged to it.
         auto t1 = std::chrono::steady_clock::now();
         std::uint64_t faults0 = threadMinorFaults();
-        model = compileModel(spec, budget);
+        model = compileModel(spec, budget, slot.workspace());
         compileFaults = threadMinorFaults() - faults0;
         compileMs = elapsedMs(t1);
     } catch (...) {
@@ -270,6 +309,20 @@ ModelCache::totalBddNodes() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return totalBddNodes_;
+}
+
+std::size_t
+ModelCache::workspaceBytes() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return workspaceBytes_;
+}
+
+std::size_t
+ModelCache::workspaceCount() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return workspaceCount_;
 }
 
 std::vector<std::string>

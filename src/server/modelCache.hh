@@ -25,6 +25,16 @@
  * entry evicted while a thread still evaluates it stays alive until
  * released.
  *
+ * Compile memory: the compile holding a slot builds in a
+ * bdd::Workspace the cache lends it with the slot, made the first
+ * time no idle one is left and handed back when the slot is
+ * released, on return and throw alike. The cache never makes more
+ * workspaces than it has slots, and each keeps the pages of the
+ * largest compile it served, so a miss builds in memory an earlier
+ * miss already faulted in. What they hold stays at most slots times
+ * one compile's high-water mark; workspaceBytes() and the gauge
+ * server.compile_workspace_bytes report it.
+ *
  * The server answers every query through acquire() on the thread
  * that read it; a hit takes the mutex once and neither waits nor
  * allocates beyond the key string.
@@ -128,6 +138,13 @@ class ModelCache
     /** Summed bddNodeCount() of the resident models. */
     std::size_t totalBddNodes() const;
 
+    /** Bytes the compile workspaces hold mapped, as of the last
+     *  compile to finish. */
+    std::size_t workspaceBytes() const;
+
+    /** Compile workspaces made so far: at most the compile slots. */
+    std::size_t workspaceCount() const;
+
     /** Resident keys, most recently used first (for tests/stats). */
     std::vector<std::string> keysMostRecentFirst() const;
 
@@ -188,6 +205,9 @@ class ModelCache
     /** Drop ready entries from the LRU tail until within capacity. */
     void evictOverCapacityLocked();
 
+    /** A held compile slot and the workspace it lends. */
+    class CompileSlot;
+
     std::size_t capacity_;
     bdd::StepBudget compileBudget_{}; // guarded by mutex_
 
@@ -197,6 +217,11 @@ class ModelCache
     mutable std::mutex mutex_;
     EntryList lru_; // front = most recently used
     std::unordered_map<std::string, EntryList::iterator> index_;
+
+    /** Workspaces no compile holds, most recently used last. */
+    std::vector<std::unique_ptr<bdd::Workspace>> idleWorkspaces_;
+    std::size_t workspaceCount_ = 0;
+    std::size_t workspaceBytes_ = 0;
     std::size_t readyCount_ = 0;
     std::size_t totalBddNodes_ = 0;
     std::uint64_t hits_ = 0;

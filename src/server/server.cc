@@ -678,6 +678,8 @@ Server::statsJson() const
                   : 0.0);
     cache.set("bdd_nodes",
               static_cast<double>(cache_.totalBddNodes()));
+    cache.set("compile_workspace_bytes",
+              static_cast<double>(cache_.workspaceBytes()));
     stats.set("cache", std::move(cache));
 
     obs::HistogramStats latency = latencyHistogram().stats();

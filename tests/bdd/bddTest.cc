@@ -41,7 +41,7 @@ expectSameBits(double actual, double expected)
 
 /** P(f) through a frozen copy, the one evaluation route. */
 double
-frozenProbability(const BddManager &m, NodeRef f,
+frozenProbability(BddManager &m, NodeRef f,
                   const std::vector<double> &probs)
 {
     ProbabilityScratch scratch;
@@ -55,7 +55,7 @@ frozenProbability(const BddManager &m, NodeRef f,
  * not monotone, so a derivative can be a near-cancelling sum.
  */
 void
-expectFrozenMatchesReference(const BddManager &m, NodeRef f,
+expectFrozenMatchesReference(BddManager &m, NodeRef f,
                              const std::vector<double> &probs,
                              ProbabilityScratch &scratch)
 {
@@ -520,7 +520,9 @@ TEST(Bdd, ComputedCacheGrowsPastTwiceTheArena)
         m.var(i);
     m.andOp(m.var(2), m.var(3));
     EXPECT_EQ(m.stats().iteCacheGrowths, 1u);
-    m.releaseIteCache();
+    // A freeze takes the cache's memory for its own tables and leaves
+    // it empty, so the next apply grows it again.
+    m.freeze(m.var(0));
     m.andOp(m.var(4), m.var(5));
     EXPECT_EQ(m.stats().iteCacheGrowths, 2u);
 }
@@ -588,6 +590,36 @@ TEST(Bdd, RecordMetricsPublishesTheTableWork)
     m.recordMetrics();
     EXPECT_EQ(rehashes.value() - rehashes_before, s.uniqueRehashes);
     EXPECT_EQ(growths.value() - growths_before, s.iteCacheGrowths);
+}
+
+TEST(Bdd, WorkspaceServesOneManagerAtATime)
+{
+    // A lent workspace is its manager's until the manager is dropped;
+    // the next one starts clean, whatever the last one built.
+    Workspace workspace;
+    BddStats fresh;
+    {
+        BddManager m;
+        m.atLeast(std::vector<NodeRef>{m.var(0), m.var(1), m.var(2)}, 2);
+        fresh = m.stats();
+    }
+    {
+        BddManager m({}, &workspace);
+        for (unsigned i = 0; i < 5000; ++i)
+            m.andOp(m.var(i), m.var(i + 1));
+        EXPECT_THROW(BddManager other({}, &workspace), sdnav::ModelError);
+    }
+    BddManager m({}, &workspace);
+    EXPECT_EQ(m.totalNodes(), 2u);
+    m.atLeast(std::vector<NodeRef>{m.var(0), m.var(1), m.var(2)}, 2);
+    const BddStats reused = m.stats();
+    EXPECT_EQ(reused.iteCacheHits, fresh.iteCacheHits);
+    EXPECT_EQ(reused.iteCacheMisses, fresh.iteCacheMisses);
+    EXPECT_EQ(reused.uniqueTableHits, fresh.uniqueTableHits);
+    EXPECT_EQ(reused.uniqueTableMisses, fresh.uniqueTableMisses);
+    EXPECT_EQ(reused.uniqueRehashes, fresh.uniqueRehashes);
+    EXPECT_EQ(reused.iteCacheGrowths, fresh.iteCacheGrowths);
+    EXPECT_EQ(reused.peakNodes, fresh.peakNodes);
 }
 
 TEST(Bdd, FrozenDiagramSkipsLevelsWithoutNodes)

@@ -8,10 +8,13 @@
  * reaches its diagram (operand order, table growth) may change, the
  * diagram may not. The peak node counts are pinned as upper bounds,
  * so atLeast()'s bottom-level-first operand order cannot quietly
- * regress.
+ * regress. A workspace a compile reuses changes neither.
  */
 
+#include <algorithm>
 #include <cstdint>
+#include <numeric>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -49,12 +52,40 @@ constexpr SupervisorPolicy kRequired = SupervisorPolicy::Required;
 constexpr SupervisorPolicy kNotRequired = SupervisorPolicy::NotRequired;
 
 /**
+ * The sixteen cold_compile keys with the FNV-1a digests
+ * (support/frozenArrays.hh) of their diagrams as they were frozen
+ * before atLeast() took its operands bottom level first and before
+ * the tables' growth rules changed.
+ */
+const Key kColdKeys[] = {
+    {"raft", "large", 21, kRequired, 0x40c50a62f6877aa9ULL},
+    {"opencontrail", "small", 3, kRequired, 0x876944819561878dULL},
+    {"raft", "large", 15, kRequired, 0xdef1d1bb5adf9c9fULL},
+    {"fragile", "large", 31, kRequired, 0xe6d2fb34a9e0d326ULL},
+    {"raft", "large", 21, kNotRequired, 0xb4246f7f3f44ecc0ULL},
+    {"opencontrail", "medium", 3, kNotRequired, 0x5293823bfcd71091ULL},
+    {"raft", "large", 17, kRequired, 0x136154b65d4c2b3aULL},
+    {"opencontrail", "medium", 3, kRequired, 0xa7ebcd528de428faULL},
+    {"raft", "medium", 21, kRequired, 0xe15d4c2f9852261aULL},
+    {"raft", "small", 15, kRequired, 0x60ad9ae02ce9bc17ULL},
+    {"opencontrail", "large", 3, kNotRequired, 0x19553b01f68975bfULL},
+    {"fragile", "small", 31, kRequired, 0x43483b8cc1505921ULL},
+    {"raft", "large", 19, kRequired, 0x08c50576d7e46eb9ULL},
+    {"opencontrail", "large", 3, kRequired, 0x9ddf5b36390d947cULL},
+    {"raft", "large", 15, kNotRequired, 0x4d2b49d333c69ef8ULL},
+    {"fragile", "large", 25, kRequired, 0x4e19c8f6efcb16f4ULL},
+};
+
+/**
  * Compile a key as model::ExactPlaneModel does: the order's level
  * permutation, folded over the five component classes. Without an
- * order, the one model::chooseVariableOrder() picks, as sdnavd does.
+ * order, the one model::chooseVariableOrder() picks, as sdnavd does;
+ * without a workspace, in one of the compile's own.
  */
 rbd::FrozenRbd
-compileKey(const Key &key, const ExactVariableOrder *order = nullptr)
+compileKey(const Key &key, const ExactVariableOrder *order = nullptr,
+           bdd::Workspace *workspace = nullptr,
+           const bdd::StepBudget &budget = {})
 {
     fmea::ControllerCatalog catalog = catalogFor(key.catalog);
     topology::DeploymentTopology topo =
@@ -71,6 +102,8 @@ compileKey(const Key &key, const ExactVariableOrder *order = nullptr)
                                            plane));
     for (ExactComponentClass cls : classes)
         options.classes.push_back(static_cast<unsigned>(cls));
+    options.workspace = workspace;
+    options.budget = budget;
     return rbd::compileFrozen(system, options);
 }
 
@@ -82,30 +115,25 @@ label(const Key &key)
            (key.policy == kRequired ? " required" : " not-required");
 }
 
+/** BddStats field by field, with the key in the failure message. */
+void
+expectSameStats(const bdd::BddStats &actual, const bdd::BddStats &expected,
+                const std::string &what)
+{
+    EXPECT_EQ(actual.iteCacheHits, expected.iteCacheHits) << what;
+    EXPECT_EQ(actual.iteCacheMisses, expected.iteCacheMisses) << what;
+    EXPECT_EQ(actual.uniqueTableHits, expected.uniqueTableHits) << what;
+    EXPECT_EQ(actual.uniqueTableMisses, expected.uniqueTableMisses)
+        << what;
+    EXPECT_EQ(actual.uniqueRehashes, expected.uniqueRehashes) << what;
+    EXPECT_EQ(actual.iteCacheGrowths, expected.iteCacheGrowths) << what;
+    EXPECT_EQ(actual.peakNodes, expected.peakNodes) << what;
+    EXPECT_EQ(actual.variables, expected.variables) << what;
+}
+
 TEST(CompileWork, ColdCompileDiagramsAreByteIdentical)
 {
-    // FNV-1a digests (support/frozenArrays.hh) of the diagrams as
-    // they were frozen before atLeast() took its operands bottom
-    // level first and before the tables' growth rules changed.
-    const Key keys[] = {
-        {"raft", "large", 21, kRequired, 0x40c50a62f6877aa9ULL},
-        {"opencontrail", "small", 3, kRequired, 0x876944819561878dULL},
-        {"raft", "large", 15, kRequired, 0xdef1d1bb5adf9c9fULL},
-        {"fragile", "large", 31, kRequired, 0xe6d2fb34a9e0d326ULL},
-        {"raft", "large", 21, kNotRequired, 0xb4246f7f3f44ecc0ULL},
-        {"opencontrail", "medium", 3, kNotRequired, 0x5293823bfcd71091ULL},
-        {"raft", "large", 17, kRequired, 0x136154b65d4c2b3aULL},
-        {"opencontrail", "medium", 3, kRequired, 0xa7ebcd528de428faULL},
-        {"raft", "medium", 21, kRequired, 0xe15d4c2f9852261aULL},
-        {"raft", "small", 15, kRequired, 0x60ad9ae02ce9bc17ULL},
-        {"opencontrail", "large", 3, kNotRequired, 0x19553b01f68975bfULL},
-        {"fragile", "small", 31, kRequired, 0x43483b8cc1505921ULL},
-        {"raft", "large", 19, kRequired, 0x08c50576d7e46eb9ULL},
-        {"opencontrail", "large", 3, kRequired, 0x9ddf5b36390d947cULL},
-        {"raft", "large", 15, kNotRequired, 0x4d2b49d333c69ef8ULL},
-        {"fragile", "large", 25, kRequired, 0x4e19c8f6efcb16f4ULL},
-    };
-    for (const Key &key : keys) {
+    for (const Key &key : kColdKeys) {
         EXPECT_EQ(bdd::FrozenArrays::digest(compileKey(key).diagram),
                   key.digest)
             << label(key);
@@ -121,6 +149,48 @@ TEST(CompileWork, ExactSweepDiagramIsByteIdentical)
     rbd::FrozenRbd compiled = compileKey(sweep, &order);
     EXPECT_EQ(compiled.diagram.nodeCount(), 111095u);
     EXPECT_EQ(bdd::FrozenArrays::digest(compiled.diagram), sweep.digest);
+}
+
+TEST(CompileWork, ReusedWorkspaceBuildsWhatAFreshOneBuilds)
+{
+    // The sixteen keys through one workspace, in a seeded shuffled
+    // order, then again after a node-cap abort left a half-built
+    // arena and tables in it: each diagram as pinned above, and each
+    // build's statistics as in a workspace of its own.
+    constexpr std::size_t kKeys = std::size(kColdKeys);
+    std::vector<bdd::BddStats> fresh;
+    for (const Key &key : kColdKeys)
+        fresh.push_back(compileKey(key).stats);
+
+    bdd::Workspace workspace;
+    std::mt19937_64 rng(20190324);
+    std::vector<std::size_t> order(kKeys);
+    std::iota(order.begin(), order.end(), 0);
+    auto compileAll = [&](const char *pass) {
+        std::shuffle(order.begin(), order.end(), rng);
+        for (std::size_t i : order) {
+            const std::string what = label(kColdKeys[i]) + ", " + pass;
+            rbd::FrozenRbd compiled =
+                compileKey(kColdKeys[i], nullptr, &workspace);
+            EXPECT_EQ(bdd::FrozenArrays::digest(compiled.diagram),
+                      kColdKeys[i].digest)
+                << what;
+            expectSameStats(compiled.stats, fresh[i], what);
+        }
+    };
+    compileAll("first pass");
+    const std::size_t held = workspace.bytes();
+    EXPECT_GT(held, 0u);
+
+    // raft/Large/21 peaks at 166,576 nodes; the cap stops it midway.
+    bdd::StepBudget cap;
+    cap.nodeCap = 80000;
+    EXPECT_THROW(compileKey(kColdKeys[0], nullptr, &workspace, cap),
+                 bdd::BudgetExceeded);
+    compileAll("after an abort");
+
+    // Every build fits in what the largest one mapped.
+    EXPECT_EQ(workspace.bytes(), held);
 }
 
 TEST(CompileWork, PeakNodesStayWithinTheirBounds)

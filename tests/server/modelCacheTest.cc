@@ -1,7 +1,9 @@
 #include "server/modelCache.hh"
 
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <future>
 #include <memory>
 #include <string>
@@ -12,6 +14,7 @@
 
 #include "bdd/bdd.hh"
 #include "common/error.hh"
+#include "model/exactModel.hh"
 
 namespace
 {
@@ -337,6 +340,100 @@ TEST(ModelCache, ConcurrentBudgetAbortsAndRetriesStayConsistent)
     cache.setCompileBudget(bdd::StepBudget{});
     EXPECT_NE(cache.acquire(doomed).model, nullptr);
     EXPECT_EQ(cache.entryCount(), 1u);
+}
+
+/** Raft, one disjoint key per (thread, index): small or medium
+ *  topology by thread parity, cluster sizes 3-13. */
+QuerySpec
+raftKey(std::size_t thread, std::size_t index)
+{
+    QuerySpec s;
+    s.catalog = "raft";
+    s.topology = thread % 2 == 0 ? "small" : "medium";
+    s.nodes = 3 + 2 * (3 * (thread / 2) + index);
+    return s;
+}
+
+/** The spec's availability from a compile in a workspace of its own,
+ *  as bits. */
+std::uint64_t
+coldAvailabilityBits(const QuerySpec &s)
+{
+    fmea::ControllerCatalog catalog = resolveCatalog(s);
+    topology::DeploymentTopology topo =
+        resolveTopology(s, catalog.roles().size());
+    model::ExactPlaneModel::Options options;
+    options.order =
+        model::chooseVariableOrder(catalog, topo, s.policy, s.plane);
+    model::ExactPlaneModel model(catalog, topo, s.policy, s.plane, options);
+    return std::bit_cast<std::uint64_t>(model.availability(s.params));
+}
+
+TEST(ModelCache, WorkspacesPassBetweenThreadsAndSurviveBudgetAborts)
+{
+    constexpr std::size_t kThreads = 4;
+    constexpr std::size_t kKeys = 3;
+    std::vector<std::vector<std::uint64_t>> serial(kThreads);
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        for (std::size_t k = 0; k < kKeys; ++k)
+            serial[t].push_back(coldAvailabilityBits(raftKey(t, k)));
+    }
+
+    // One entry, four slots: every acquire of a key other than the
+    // last one compiled is a miss.
+    ModelCache cache(1, kThreads);
+
+    // One thread after another: each compile borrows the workspace
+    // the thread before it handed back.
+    for (std::size_t t = 0; t < kThreads; ++t)
+        std::thread([&cache, t] { cache.acquire(raftKey(t, 0)); }).join();
+    EXPECT_EQ(cache.workspaceCount(), 1u);
+
+    // All at once, each thread on its own keys.
+    auto compileAll = [&](std::size_t t) {
+        bdd::ProbabilityScratch scratch;
+        for (int round = 0; round < 2; ++round) {
+            for (std::size_t k = 0; k < kKeys; ++k) {
+                const QuerySpec key = raftKey(t, k);
+                CacheLookup lookup = cache.acquire(key);
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                              lookup.model->availability(key.params,
+                                                         scratch)),
+                          serial[t][k])
+                    << key.modelKey();
+            }
+        }
+    };
+    auto runThreads = [&](auto body) {
+        std::vector<std::thread> threads;
+        for (std::size_t t = 0; t < kThreads; ++t)
+            threads.emplace_back(body, t);
+        for (std::thread &thread : threads)
+            thread.join();
+    };
+    runThreads(compileAll);
+
+    // Node-cap aborts mid-compile: each releases its slot and hands
+    // its workspace back, so no later compile needs a new one. The
+    // one resident key is a hit, the only acquire that succeeds.
+    cache.setCompileBudget(bdd::StepBudget{0.0, 16});
+    std::atomic<int> aborts{0};
+    runThreads([&](std::size_t t) {
+        for (std::size_t k = 0; k < kKeys; ++k) {
+            try {
+                EXPECT_TRUE(cache.acquire(raftKey(t, k)).hit);
+            } catch (const bdd::BudgetExceeded &) {
+                aborts.fetch_add(1);
+            }
+        }
+    });
+    EXPECT_GE(aborts.load(), static_cast<int>(kThreads * kKeys) - 1);
+
+    // The workspaces the aborts left are whole: the same bits again.
+    cache.setCompileBudget(bdd::StepBudget{});
+    runThreads(compileAll);
+    EXPECT_LE(cache.workspaceCount(), kThreads);
+    EXPECT_GT(cache.workspaceBytes(), 0u);
 }
 
 } // anonymous namespace

@@ -737,9 +737,12 @@ TEST(Server, StatsCommandReportsTheDocumentedSchema)
 
     const json::Value &cache = stats.at("cache");
     for (const char *key : {"hits", "misses", "evictions", "entries",
-                            "capacity", "hit_rate", "bdd_nodes"})
+                            "capacity", "hit_rate", "bdd_nodes",
+                            "compile_workspace_bytes"})
         EXPECT_TRUE(cache.contains(key)) << "missing cache." << key;
     EXPECT_EQ(cache.at("misses").asNumber(), 1.0);
+    // The miss's workspace keeps its pages for the next one.
+    EXPECT_GT(cache.at("compile_workspace_bytes").asNumber(), 0.0);
     EXPECT_EQ(cache.at("hits").asNumber(), 1.0);
     EXPECT_EQ(cache.at("hit_rate").asNumber(), 0.5);
 
@@ -767,6 +770,9 @@ TEST(Server, MetricsCommandServesPrometheusText)
     EXPECT_EQ(reply.at("id").asString(), "m");
     const std::string &text = reply.at("metrics").asString();
     EXPECT_NE(text.find("server_requests_total"), std::string::npos)
+        << text;
+    EXPECT_NE(text.find("# TYPE server_compile_workspace_bytes gauge"),
+              std::string::npos)
         << text;
     EXPECT_NE(text.find("# TYPE"), std::string::npos);
 

@@ -50,7 +50,10 @@ printUsage()
         "                      listening (for scripts using --port 0)\n"
         "  --workers N         most model compiles at once, and the\n"
         "                      threads per query batch\n"
-        "                      (default 0 = hardware)\n"
+        "                      (default 0 = hardware); each compile\n"
+        "                      slot keeps one compile's memory for\n"
+        "                      the next, so N also bounds the\n"
+        "                      compile memory the server retains\n"
         "  --cache N           compiled-model LRU capacity "
         "(default 16)\n"
         "  --max-line-bytes N  largest accepted request line\n"
