@@ -4,6 +4,7 @@
 #include <string>
 
 #include "common/error.hh"
+#include "model/exactModel.hh"
 #include "prob/kofn.hh"
 
 namespace sdnav::model
@@ -107,91 +108,39 @@ hwLargeApproximation(const HwParams &params)
     return kOfN(2, 3, alpha);
 }
 
-rbd::RbdSystem
-hwExactSystem(const topology::DeploymentTopology &topo,
-              const HwParams &params, const HwQuorumProfile &profile)
-{
-    params.validate();
-    topo.validate();
-    require(profile.roleCount() == topo.roleCount(),
-            "quorum profile role count does not match topology");
-
-    rbd::RbdSystem system;
-
-    // Shared infrastructure components, in BDD-friendly order
-    // (shared elements first).
-    std::vector<rbd::ComponentId> racks;
-    for (std::size_t r = 0; r < topo.rackCount(); ++r)
-        racks.push_back(system.addComponent("rack" + std::to_string(r),
-                                            params.rackAvailability));
-    std::vector<rbd::ComponentId> hosts;
-    for (std::size_t h = 0; h < topo.hostCount(); ++h)
-        hosts.push_back(system.addComponent("host" + std::to_string(h),
-                                            params.hostAvailability));
-    std::vector<rbd::ComponentId> vms;
-    for (std::size_t v = 0; v < topo.vmCount(); ++v)
-        vms.push_back(system.addComponent("vm" + std::to_string(v),
-                                          params.vmAvailability));
-
-    // One quorum block per role over its node instances, each
-    // instance in series with its VM / host / rack.
-    std::size_t n = topo.clusterSize();
-    std::vector<rbd::Block> role_blocks;
-    for (std::size_t role = 0; role < topo.roleCount(); ++role) {
-        std::vector<rbd::Block> instances;
-        for (std::size_t node = 0; node < n; ++node) {
-            rbd::ComponentId inst = system.addComponent(
-                "role" + std::to_string(role) + "-node" +
-                    std::to_string(node),
-                params.roleAvailability);
-            std::size_t vm = topo.vmOf(role, node);
-            std::size_t host = topo.hostOfVm(vm);
-            instances.push_back(rbd::series(
-                {rbd::component(inst), rbd::component(vms[vm]),
-                 rbd::component(hosts[host]),
-                 rbd::component(racks[topo.rackOfHost(host)])}));
-        }
-        unsigned m = role < profile.anyOneRoles
-            ? 1u : static_cast<unsigned>(n / 2 + 1);
-        role_blocks.push_back(rbd::kOfN(m, std::move(instances)));
-    }
-    system.setRoot(rbd::series(std::move(role_blocks)));
-    return system;
-}
-
 double
 hwExactAvailability(const topology::DeploymentTopology &topo,
-                    const HwParams &params,
-                    const HwQuorumProfile &profile)
+                    const HwParams &params)
 {
-    return hwExactSystem(topo, params, profile).availabilityExact();
+    SwParams sw = hwToSwParams(params);
+    return ExactPlaneModel(hwCentricCatalog(), topo,
+                           SupervisorPolicy::NotRequired,
+                           fmea::Plane::ControlPlane)
+        .availability(sw);
 }
 
-} // namespace sdnav::model
-
-namespace sdnav::model
-{
-
 fmea::ControllerCatalog
-hwCentricCatalog(const HwQuorumProfile &profile)
+hwCentricCatalog()
 {
+    struct AtomicRole
+    {
+        const char *name;
+        char tag;
+        fmea::QuorumClass quorum;
+    };
+    static const AtomicRole roles[] = {
+        {"Config", 'G', fmea::QuorumClass::AnyOne},
+        {"Control", 'C', fmea::QuorumClass::AnyOne},
+        {"Analytics", 'A', fmea::QuorumClass::AnyOne},
+        {"Database", 'D', fmea::QuorumClass::Majority},
+    };
     fmea::ControllerCatalog catalog("HW-centric atomic roles");
-    static const char *names[] = {"Config", "Control", "Analytics",
-                                  "Database"};
-    static const char tags[] = {'G', 'C', 'A', 'D'};
-    for (unsigned role = 0; role < profile.roleCount(); ++role) {
+    for (const AtomicRole &role : roles) {
         fmea::RoleSpec spec;
-        if (role < 4 && profile.roleCount() == 4) {
-            spec.name = names[role];
-            spec.tag = tags[role];
-        } else {
-            spec.name = "Role" + std::to_string(role);
-            spec.tag = static_cast<char>('0' + role % 10);
-        }
-        fmea::QuorumClass quorum = role < profile.anyOneRoles
-            ? fmea::QuorumClass::AnyOne : fmea::QuorumClass::Majority;
+        spec.name = role.name;
+        spec.tag = role.tag;
         spec.processes.push_back({"role-" + spec.name,
-                                  fmea::RestartMode::Auto, quorum,
+                                  fmea::RestartMode::Auto, role.quorum,
                                   fmea::QuorumClass::None, "", "",
                                   "Atomic role element."});
         catalog.addRole(std::move(spec));

@@ -24,7 +24,6 @@
 
 #include "fmea/catalog.hh"
 #include "model/params.hh"
-#include "rbd/system.hh"
 #include "topology/deployment.hh"
 
 namespace sdnav::model
@@ -59,51 +58,26 @@ double hwMediumApproximation(const HwParams &params);
 double hwLargeApproximation(const HwParams &params);
 
 /**
- * Quorum structure of the HW-centric analysis: which roles need a
- * strict majority of node instances (the Database role in the paper)
- * versus any single instance.
+ * Exact HW-centric availability of any four-role deployment topology:
+ * the SW-centric exact model (ExactPlaneModel, control plane, no
+ * supervisors) of hwCentricCatalog() evaluated at hwToSwParams().
+ * Its structure function has one atomic component per role instance
+ * plus the topology's VMs, hosts and racks. This is the ground-truth
+ * value the closed forms are tested against. Each call compiles the
+ * diagram; a sweep should hold one ExactPlaneModel instead.
  */
-struct HwQuorumProfile
-{
-    /** Number of roles requiring at least one instance. */
-    unsigned anyOneRoles = 3;
-
-    /** Number of roles requiring a strict majority. */
-    unsigned majorityRoles = 1;
-
-    /** Total role count. */
-    unsigned roleCount() const { return anyOneRoles + majorityRoles; }
-};
-
-/**
- * Build the exact HW-centric reliability block diagram for an
- * arbitrary deployment topology: one atomic component per role
- * instance, plus the topology's VMs, hosts, and racks as shared
- * components. Role index ordering: the first profile.anyOneRoles
- * roles are "1 of n", the rest are majority.
- *
- * The returned system's availabilityExact() is the ground-truth value
- * the closed forms are tested against.
- */
-rbd::RbdSystem hwExactSystem(const topology::DeploymentTopology &topo,
-                             const HwParams &params,
-                             const HwQuorumProfile &profile = {});
-
-/** Exact HW-centric availability of any deployment topology. */
 double hwExactAvailability(const topology::DeploymentTopology &topo,
-                           const HwParams &params,
-                           const HwQuorumProfile &profile = {});
+                           const HwParams &params);
 
 /**
  * The HW-centric analysis expressed as a degenerate controller
  * catalog: one atomic auto-restarted process per role, "1 of n" for
- * the first profile.anyOneRoles roles and majority for the rest.
- * Feeding this catalog (with hwToSwParams()) to the SW-centric engine
- * reproduces section V from section VI's machinery — the two models
- * are one framework.
+ * the Config, Control and Analytics roles and majority for the
+ * Database role. Feeding this catalog (with hwToSwParams()) to the
+ * SW-centric engine reproduces section V from section VI's machinery
+ * — the two models are one framework.
  */
-fmea::ControllerCatalog hwCentricCatalog(
-    const HwQuorumProfile &profile = {});
+fmea::ControllerCatalog hwCentricCatalog();
 
 /**
  * Map HW-centric parameters onto SW-centric ones for use with

@@ -60,12 +60,19 @@ class SwAvailabilityModel
     /**
      * @param catalog Controller software catalog. The number of
      *                catalog roles must match the topology role count.
+     *                The model keeps a reference and reads it on every
+     *                evaluation, so the catalog must outlive the model.
      * @param topo Deployment topology (validated).
      * @param policy Supervisor policy (scenario 1 or 2).
      */
     SwAvailabilityModel(const fmea::ControllerCatalog &catalog,
                         const topology::DeploymentTopology &topo,
                         SupervisorPolicy policy);
+
+    /** A temporary catalog would dangle once the statement ends. */
+    SwAvailabilityModel(const fmea::ControllerCatalog &&catalog,
+                        const topology::DeploymentTopology &topo,
+                        SupervisorPolicy policy) = delete;
 
     /** SDN control-plane availability A_CP. */
     double controlPlaneAvailability(const SwParams &params) const;

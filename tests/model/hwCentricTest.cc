@@ -5,10 +5,15 @@
  */
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <iterator>
+#include <random>
 
 #include <gtest/gtest.h>
 
 #include "common/error.hh"
+#include "model/exactModel.hh"
 #include "model/hwCentric.hh"
 #include "model/swCentric.hh"
 #include "prob/kofn.hh"
@@ -154,43 +159,92 @@ TEST(HwModel, ValidationRejectsBadParams)
     EXPECT_THROW(hwSmallAvailability(params), sdnav::ModelError);
 }
 
-TEST(HwExactSystem, ComponentInventorySmall)
+/** The exact HW-centric model of a topology, held for inspection. */
+ExactPlaneModel
+hwExactModel(const topology::DeploymentTopology &topo)
 {
-    auto system =
-        hwExactSystem(topology::smallTopology(), paperParams());
+    return ExactPlaneModel(hwCentricCatalog(), topo,
+                           SupervisorPolicy::NotRequired,
+                           sdnav::fmea::Plane::ControlPlane);
+}
+
+TEST(HwExactModel, ComponentInventorySmall)
+{
     // 1 rack + 3 hosts + 3 VMs + 12 role instances.
-    EXPECT_EQ(system.componentCount(), 19u);
-    EXPECT_TRUE(system.hasSharedComponents());
+    EXPECT_EQ(hwExactModel(topology::smallTopology()).componentCount(),
+              19u);
 }
 
-TEST(HwExactSystem, ComponentInventoryLarge)
+TEST(HwExactModel, ComponentInventoryLarge)
 {
-    auto system =
-        hwExactSystem(topology::largeTopology(), paperParams());
     // 3 racks + 12 hosts + 12 VMs + 12 role instances.
-    EXPECT_EQ(system.componentCount(), 39u);
+    EXPECT_EQ(hwExactModel(topology::largeTopology()).componentCount(),
+              39u);
 }
 
-TEST(HwExactSystem, ProfileMismatchRejected)
+TEST(HwExactModel, RoleCountMismatchRejected)
 {
-    HwQuorumProfile profile;
-    profile.anyOneRoles = 2; // roleCount 3 != topology's 4.
-    EXPECT_THROW(
-        hwExactSystem(topology::smallTopology(), paperParams(),
-                      profile),
-        sdnav::ModelError);
+    // hwCentricCatalog() has four roles; this topology has three.
+    EXPECT_THROW(hwExactAvailability(topology::rackSweepTopology(3, 3),
+                                     paperParams()),
+                 sdnav::ModelError);
 }
 
-TEST(HwExactSystem, AllMajorityProfileIsStricter)
+std::uint64_t
+bitsOf(double value)
 {
+    return std::bit_cast<std::uint64_t>(value);
+}
+
+TEST(HwExactModel, PaperPointBitsArePinned)
+{
+    // IEEE-754 bit patterns of the exact values. The goldens print
+    // only 10-12 digits, so only these hold the last bits.
     HwParams params = paperParams();
-    HwQuorumProfile all_majority{0, 4};
-    HwQuorumProfile paper_profile{3, 1};
-    double strict = hwExactAvailability(topology::largeTopology(),
-                                        params, all_majority);
-    double loose = hwExactAvailability(topology::largeTopology(),
-                                       params, paper_profile);
-    EXPECT_LT(strict, loose);
+    EXPECT_EQ(bitsOf(hwExactAvailability(topology::smallTopology(),
+                                         params)),
+              0x3fefffe85ee4d4b2u);
+    EXPECT_EQ(bitsOf(hwExactAvailability(topology::mediumTopology(),
+                                         params)),
+              0x3fefffe857e35830u);
+    EXPECT_EQ(bitsOf(hwExactAvailability(topology::largeTopology(),
+                                         params)),
+              0x3feffffd42727072u);
+}
+
+TEST(HwExactModel, RackSensitivityBitsArePinned)
+{
+    // bench_rack_ablation's A_R sensitivity table, 1..3 racks per
+    // row; 0.99999 is the paper's A_R.
+    struct Row
+    {
+        double rackAvailability;
+        std::uint64_t bits[3];
+    };
+    const Row rows[] = {
+        {0.9999,
+         {0x3fefff2ba0835899u, 0x3fefff2b5ac21949u,
+          0x3feffffc76300009u}},
+        {0.99995,
+         {0x3fefff947c064f4bu, 0x3fefff9459253d57u,
+          0x3feffffceae0a559u}},
+        {0.99999,
+         {0x3fefffe85ed57b0eu, 0x3fefffe857db9860u,
+          0x3feffffd42727072u}},
+        {0.999999,
+         {0x3feffffb3eaa7e7fu, 0x3feffffb3df7e76bu,
+          0x3feffffd55711757u}},
+    };
+    for (const Row &row : rows) {
+        HwParams params = paperParams();
+        params.rackAvailability = row.rackAvailability;
+        for (std::size_t r = 1; r <= 3; ++r)
+            EXPECT_EQ(bitsOf(hwExactAvailability(
+                          topology::rackSweepTopology(r), params)),
+                      row.bits[r - 1])
+                << "A_R=" << row.rackAvailability << ", " << r
+                << " racks";
+    }
 }
 
 TEST(HwCatalogBridge, SwEngineReproducesHwClosedForms)
@@ -223,6 +277,34 @@ TEST(HwCatalogBridge, MediumAgreesWithExactNotTruncatedForm)
     double exact =
         hwExactAvailability(topology::mediumTopology(), params);
     EXPECT_NEAR(engine, exact, 1e-12);
+}
+
+TEST(HwCatalogBridge, SwEngineMatchesExactAtRandomPoints)
+{
+    // The conditioning engine is independent of the BDD builder the
+    // exact value shares with the SW-centric exact path.
+    auto catalog = hwCentricCatalog();
+    const topology::DeploymentTopology topos[] = {
+        topology::smallTopology(),      topology::mediumTopology(),
+        topology::largeTopology(),      topology::rackSweepTopology(1),
+        topology::rackSweepTopology(2), topology::rackSweepTopology(3)};
+    std::mt19937_64 rng(20190324);
+    std::uniform_real_distribution<double> unit(0.99, 1.0);
+    for (std::size_t t = 0; t < std::size(topos); ++t) {
+        SwAvailabilityModel engine(catalog, topos[t],
+                                   SupervisorPolicy::NotRequired);
+        for (int i = 0; i < 100; ++i) {
+            HwParams params;
+            params.roleAvailability = unit(rng);
+            params.vmAvailability = unit(rng);
+            params.hostAvailability = unit(rng);
+            params.rackAvailability = unit(rng);
+            EXPECT_NEAR(engine.controlPlaneAvailability(
+                            hwToSwParams(params)),
+                        hwExactAvailability(topos[t], params), 1e-12)
+                << "topology " << t << ", point " << i;
+        }
+    }
 }
 
 } // anonymous namespace

@@ -5,6 +5,7 @@
  */
 
 #include <cmath>
+#include <type_traits>
 
 #include <gtest/gtest.h>
 
@@ -44,6 +45,15 @@ perfectPlatform()
     params.rackAvailability = 1.0;
     return params;
 }
+
+// The model reads its catalog on every evaluation, so it must not
+// bind a temporary one: that would compile and then dangle.
+static_assert(!std::is_constructible_v<
+              SwAvailabilityModel, fmea::ControllerCatalog &&,
+              const topology::DeploymentTopology &, SupervisorPolicy>);
+static_assert(std::is_constructible_v<
+              SwAvailabilityModel, const fmea::ControllerCatalog &,
+              const topology::DeploymentTopology &, SupervisorPolicy>);
 
 TEST(SwEngine, SingleAnyOneProcessOnPerfectPlatform)
 {
